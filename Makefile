@@ -85,10 +85,9 @@ flight-smoke:
 fleet-smoke:
 	GO="$(GO)" ./scripts/fleet_smoke.sh
 
-# End-to-end smoke test of the compiled decision path: train -> publish
-# (registry compiles) -> apollo-inspect models -verify differentially
-# checks compiled vs interpreted predictions locally and through the
-# live /predict endpoint.
+# End-to-end smoke test of the decision path: train -> publish (registry
+# validates the tree) -> apollo-inspect models -verify checks the local
+# tree walk against the live /predict endpoint, single and batch.
 compile-smoke:
 	GO="$(GO)" ./scripts/compile_smoke.sh
 

@@ -6,7 +6,10 @@
 // Apollo replaces costly on-line auto-tuning search with off-line trained
 // decision-tree classifiers that select the fastest statically compiled
 // variant of a kernel — its execution policy and schedule chunk size — at
-// every launch, for a few nanoseconds per decision.
+// every launch. The tree walk itself takes ~45–50 ns on the deployed
+// top-5 / depth-15 models; with feature extraction a tuned launch's
+// decision takes ~2.9 µs at the median (perfbench deploy-small, shared
+// 2-vCPU Xeon host).
 //
 // # Workflow
 //

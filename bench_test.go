@@ -215,7 +215,8 @@ func BenchmarkGeneratedDecisionFunc(b *testing.B) {
 	_ = base
 }
 
-// compileFunc mirrors codegen.CompileFunc through the public surface.
+// compileFunc stands in for the generated decision function: the tree
+// walk merged into the base parameters, as codegen.Generate emits it.
 func compileFunc(m *core.Model) func([]float64, raja.Params) raja.Params {
 	tree := m.Tree
 	return func(x []float64, base raja.Params) raja.Params {

@@ -5,16 +5,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"time"
-
-	"apollo/internal/ctree"
-	"apollo/internal/dtree"
-	"apollo/internal/flight"
 )
 
 // flightCapture mirrors the apollo-flight-v1 JSON the debug endpoint
@@ -24,34 +19,22 @@ type flightCapture struct {
 	Format  string         `json:"format"`
 	Emitted uint64         `json:"emitted"`
 	Dropped uint64         `json:"dropped"`
-	Sites   []flightSite   `json:"sites"`
 	Records []flightRecord `json:"records"`
 }
 
-// flightSite carries the per-site compiled-tree layout a capture embeds
-// for sites that record compact offset trails.
-type flightSite struct {
-	ID       string        `json:"id"`
-	Name     string        `json:"name"`
-	Features []string      `json:"features"`
-	CTree    *ctree.Layout `json:"ctree"`
-	Src      []int32       `json:"src"`
-}
-
 type flightRecord struct {
-	Seq          uint64             `json:"seq"`
-	Site         string             `json:"site"`
-	SiteID       string             `json:"site_id"`
-	Iterations   int64              `json:"iterations"`
-	Policy       int                `json:"policy"`
-	Chunk        int                `json:"chunk"`
-	Predicted    int                `json:"predicted"`
-	Explored     bool               `json:"explored"`
-	PredictedNS  float64            `json:"predicted_ns"`
-	ObservedNS   float64            `json:"observed_ns"`
-	Features     map[string]float64 `json:"features"`
-	Path         []string           `json:"path"`
-	TrailOffsets []int32            `json:"trail_offsets"`
+	Seq         uint64             `json:"seq"`
+	Site        string             `json:"site"`
+	SiteID      string             `json:"site_id"`
+	Iterations  int64              `json:"iterations"`
+	Policy      int                `json:"policy"`
+	Chunk       int                `json:"chunk"`
+	Predicted   int                `json:"predicted"`
+	Explored    bool               `json:"explored"`
+	PredictedNS float64            `json:"predicted_ns"`
+	ObservedNS  float64            `json:"observed_ns"`
+	Features    map[string]float64 `json:"features"`
+	Path        []string           `json:"path"`
 }
 
 // siteName returns the display name of the record's site.
@@ -114,7 +97,6 @@ func runFlightCmd(args []string) error {
 	if c.Format != "apollo-flight-v1" {
 		return fmt.Errorf("not a flight capture (format %q, want apollo-flight-v1)", c.Format)
 	}
-	decodeOffsetPaths(&c)
 	if *jsonOut {
 		return writeFlightJSON(os.Stdout, &c)
 	}
@@ -160,52 +142,6 @@ func writeFlightJSON(w io.Writer, c *flightCapture) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// decodeOffsetPaths fills in Path for records that carry only a compact
-// offset trail, using the compiled-tree layout the capture embeds per
-// site. Captures taken while the site's decoder was registered arrive
-// with Path already rendered; this is the offline fallback for the raw
-// form. Records whose site embeds no layout are left as-is.
-func decodeOffsetPaths(c *flightCapture) {
-	type siteDecoder struct {
-		tree     *ctree.Tree
-		src      []int32
-		features []string
-	}
-	decoders := map[string]*siteDecoder{}
-	for _, s := range c.Sites {
-		if s.CTree == nil {
-			continue
-		}
-		t, err := ctree.FromLayout(s.CTree)
-		if err != nil {
-			continue // foreign or corrupt layout; leave raw offsets visible
-		}
-		decoders[s.ID] = &siteDecoder{tree: t, src: s.Src, features: s.Features}
-	}
-	var steps [flight.MaxTrail]dtree.TrailStep
-	for i := range c.Records {
-		r := &c.Records[i]
-		if len(r.Path) > 0 || len(r.TrailOffsets) == 0 {
-			continue
-		}
-		d := decoders[r.SiteID]
-		if d == nil {
-			continue
-		}
-		// Rebuild the source-layout feature slice from the named map.
-		x := make([]float64, len(d.features))
-		for j, name := range d.features {
-			if v, ok := r.Features[name]; ok {
-				x[j] = v
-			} else {
-				x[j] = math.NaN()
-			}
-		}
-		n := d.tree.DecodeOffsets(r.TrailOffsets, d.src, x, steps[:])
-		r.Path = flight.ExplainTrail(steps[:n], d.features)
-	}
 }
 
 // readInput loads the capture from a file or a live endpoint.

@@ -1,13 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"apollo/internal/ctree"
-	"apollo/internal/dtree"
 )
 
 // syntheticRecords describe one region ("daxpy" at num_indices=1024)
@@ -115,59 +114,35 @@ func TestFlightCmdReadsCaptureFile(t *testing.T) {
 	}
 }
 
-// TestDecodeOffsetPaths exercises the offline fallback: a capture whose
-// records carry only compact offset trails (no pre-rendered path) must
-// get its paths reconstructed from the embedded compiled-tree layout.
-func TestDecodeOffsetPaths(t *testing.T) {
-	dt := &dtree.Tree{
-		Root: &dtree.Node{
-			Feature: 0, Threshold: 96,
-			Left: &dtree.Node{Feature: -1, Label: 0},
-			Right: &dtree.Node{
-				Feature: 1, Threshold: 256,
-				Left:  &dtree.Node{Feature: -1, Label: 0},
-				Right: &dtree.Node{Feature: -1, Label: 1},
-			},
-		},
-		NumFeatures: 2, NumClasses: 2,
+// TestFlightCmdReadsOffsetEraCapture: captures written before decision
+// trails were always stored as TrailSteps carry a per-site tree layout
+// and feature mapping ("src") and per-record "trail_offsets" next to the
+// rendered path. The reader ignores those fields and analyses the
+// rendered path.
+func TestFlightCmdReadsOffsetEraCapture(t *testing.T) {
+	capture := `{
+	  "format": "apollo-flight-v1",
+	  "emitted": 1, "dropped": 0,
+	  "sites": [{"id":"0x7","name":"daxpy","features":["num_indices","trip_count"],
+	             "src":[0,1]}],
+	  "records": [
+	    {"seq":1,"site":"daxpy","site_id":"0x7","policy":1,"predicted":1,"observed_ns":800,
+	     "features":{"num_indices":1024,"trip_count":1024},
+	     "path":["num_indices (=1024) > 96 → right","trip_count (=1024) > 256 → right"],
+	     "trail_offsets":[0,1,-2]}
+	  ]
+	}`
+	var c flightCapture
+	if err := json.Unmarshal([]byte(capture), &c); err != nil {
+		t.Fatalf("decoding offset-era capture: %v", err)
 	}
-	ct, err := ctree.Compile(dt)
-	if err != nil {
-		t.Fatal(err)
+	if len(c.Records) != 1 || len(c.Records[0].Path) != 2 {
+		t.Fatalf("records = %+v", c.Records)
 	}
-	var offs [8]int32
-	_, n := ct.PredictOffsets([]float64{1024, 1024}, offs[:])
-
-	c := flightCapture{
-		Format: "apollo-flight-v1",
-		Sites: []flightSite{{
-			ID: "0x7", Name: "daxpy",
-			Features: []string{"num_indices", "trip_count"},
-			CTree:    ct.Layout(),
-		}},
-		Records: []flightRecord{{
-			Site: "daxpy", SiteID: "0x7",
-			Features:     map[string]float64{"num_indices": 1024, "trip_count": 1024},
-			TrailOffsets: append([]int32(nil), offs[:n]...),
-		}},
-	}
-	decodeOffsetPaths(&c)
-	want := []string{
-		"num_indices (=1024) > 96 → right",
-		"trip_count (=1024) > 256 → right",
-	}
-	got := c.Records[0].Path
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("decoded path %q, want %q", got, want)
-	}
-
-	// Records from sites without an embedded layout stay untouched.
-	c2 := flightCapture{
-		Records: []flightRecord{{SiteID: "0x9", TrailOffsets: []int32{0, -1}}},
-	}
-	decodeOffsetPaths(&c2)
-	if c2.Records[0].Path != nil {
-		t.Fatalf("layout-less record grew a path: %q", c2.Records[0].Path)
+	var hist bytes.Buffer
+	writePathHistogram(&hist, c.Records, 20)
+	if !strings.Contains(hist.String(), "trip_count (=1024) > 256 → right") {
+		t.Errorf("histogram lost the rendered path:\n%s", hist.String())
 	}
 }
 

@@ -4,13 +4,12 @@
 //
 //	apollo-inspect -model policy.json            inspect a model
 //	apollo-inspect -model policy.json -gen -depth 3
-//	apollo-inspect models -dir ./models          compiled-model report:
-//	                                             nodes, flat-array bytes,
-//	                                             specialization kind
+//	apollo-inspect models -dir ./models          model report: parameter,
+//	                                             nodes, leaves, depth
 //	apollo-inspect models -url http://127.0.0.1:8080 -verify
-//	                                             + differential check of
-//	                                             compiled vs interpreted
-//	                                             and the live /predict
+//	                                             + tree validation and the
+//	                                             local walk checked against
+//	                                             the live /predict
 //	apollo-inspect flight -in capture.json       misprediction table +
 //	                                             decision-path histogram
 //	apollo-inspect flight -url http://127.0.0.1:9999/debug/apollo/flight

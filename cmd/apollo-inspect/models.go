@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"apollo/internal/core"
-	"apollo/internal/ctree"
 	"apollo/internal/dtree"
 	"apollo/internal/registry"
 )
@@ -27,20 +26,20 @@ type inspectedModel struct {
 	Model   *core.Model
 }
 
-// runModelsCmd implements `apollo-inspect models`: the compiled-model
-// report (per model: node counts, flat-array bytes, specialization kind)
-// over a registry directory, a live model service, or a single model
-// file. With -verify it differentially checks the compiled decision path
-// against the interpreted tree on threshold-boundary and random vectors
-// — and, for -url, against the live /predict endpoint — exiting non-zero
-// on any disagreement.
+// runModelsCmd implements `apollo-inspect models`: the model report (per
+// model: parameter, node and leaf counts, depth) over a registry
+// directory, a live model service, or a single model file. With -verify
+// it checks every tree is structurally valid and, for -url, that the
+// local tree walk agrees with the live /predict endpoint, single and
+// batch, on threshold-boundary and random vectors — exiting non-zero on
+// any disagreement.
 func runModelsCmd(args []string) error {
 	fs := flag.NewFlagSet("models", flag.ContinueOnError)
 	dir := fs.String("dir", "", "registry directory (as served by apollo-serve -dir)")
 	url := fs.String("url", "", "model service base URL (e.g. http://127.0.0.1:8080)")
 	model := fs.String("model", "", "single model or envelope JSON file")
-	verify := fs.Bool("verify", false, "differentially verify compiled against interpreted predictions")
-	vectors := fs.Int("vectors", 256, "random probe vectors per model for -verify (boundary probes are always added)")
+	verify := fs.Bool("verify", false, "validate every tree and, with -url, check the local walk against live /predict")
+	vectors := fs.Int("vectors", 256, "random probe vectors per model for -verify with -url (boundary probes are always added)")
 	timeout := fs.Duration("timeout", 3*time.Second, "HTTP timeout for -url fetches")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,38 +73,31 @@ func runModelsCmd(args []string) error {
 	}
 	sort.Slice(models, func(i, j int) bool { return models[i].Name < models[j].Name })
 
-	fmt.Printf("%-32s %7s  %-16s %-14s %6s %6s %6s %10s\n",
-		"model", "version", "parameter", "kind", "nodes", "leaves", "depth", "flat bytes")
-	compiled := make([]*ctree.Tree, len(models))
-	for i, im := range models {
-		ct, err := ctree.Compile(im.Model.Tree)
-		if err != nil {
-			return fmt.Errorf("compiling %s: %w", im.Name, err)
-		}
-		compiled[i] = ct
-		st := ct.Stats()
-		fmt.Printf("%-32s %7d  %-16s %-14s %6d %6d %6d %10d\n",
-			im.Name, im.Version, im.Model.Param.String(), st.Kind, st.Nodes, st.Leaves, st.Depth, st.FlatBytes)
+	fmt.Printf("%-32s %7s  %-16s %6s %6s %6s\n",
+		"model", "version", "parameter", "nodes", "leaves", "depth")
+	for _, im := range models {
+		t := im.Model.Tree
+		fmt.Printf("%-32s %7d  %-16s %6d %6d %6d\n",
+			im.Name, im.Version, im.Model.Param.String(), t.NumNodes(), t.NumLeaves(), t.Depth())
 	}
 
 	if !*verify {
 		return nil
 	}
 	fmt.Println()
-	for i, im := range models {
-		probes := probeVectors(im.Model, *vectors)
-		if err := verifyCompiled(im.Model, compiled[i], probes); err != nil {
+	for _, im := range models {
+		if err := im.Model.Tree.Validate(); err != nil {
 			return fmt.Errorf("model %s: %w", im.Name, err)
 		}
-		checked := len(probes)
-		if *url != "" {
-			n, err := verifyLive(hc, *url, im.Name, im.Model, probes)
-			if err != nil {
-				return fmt.Errorf("model %s: %w", im.Name, err)
-			}
-			checked += n
+		if *url == "" {
+			fmt.Printf("%s: tree valid\n", im.Name)
+			continue
 		}
-		fmt.Printf("%s: compiled == interpreted on %d vectors\n", im.Name, checked)
+		n, err := verifyLive(hc, *url, im.Name, im.Model, probeVectors(im.Model, *vectors))
+		if err != nil {
+			return fmt.Errorf("model %s: %w", im.Name, err)
+		}
+		fmt.Printf("%s: tree valid, local walk == live /predict on %d vectors\n", im.Name, n)
 	}
 	return nil
 }
@@ -186,9 +178,6 @@ func httpGet(hc *http.Client, url string) ([]byte, error) {
 // NaN and infinity probes and a deterministic random sweep.
 func probeVectors(m *core.Model, random int) [][]float64 {
 	width := m.Schema.Len()
-	if width < m.Tree.NumFeatures {
-		width = m.Tree.NumFeatures
-	}
 	var probes [][]float64
 	vec := func() []float64 { return make([]float64, width) }
 
@@ -231,39 +220,13 @@ func probeVectors(m *core.Model, random int) [][]float64 {
 	return probes
 }
 
-// verifyCompiled checks every probe through all compiled entry points —
-// flat walk, specialized closure, and batch — against the interpreted
-// tree.
-func verifyCompiled(m *core.Model, ct *ctree.Tree, probes [][]float64) error {
-	fn := ct.Func()
-	batch := make([]int, len(probes))
-	ct.PredictN(probes, batch)
-	for i, x := range probes {
-		want := m.Tree.Predict(x)
-		if got := ct.Predict(x); got != want {
-			return fmt.Errorf("vector %d: compiled Predict=%d, interpreted=%d (x=%v)", i, got, want, x)
-		}
-		if got := fn(x); got != want {
-			return fmt.Errorf("vector %d: specialized Func=%d, interpreted=%d (x=%v)", i, got, want, x)
-		}
-		if batch[i] != want {
-			return fmt.Errorf("vector %d: batched PredictN=%d, interpreted=%d (x=%v)", i, batch[i], want, x)
-		}
-	}
-	return nil
-}
-
 // verifyLive replays finite probes against the live /predict endpoint,
 // one batch request plus a handful of single-vector requests, and
-// compares with the local interpreted answers. It returns how many
-// vectors it checked.
+// compares with the local tree walk. It returns how many vectors it
+// checked.
 func verifyLive(hc *http.Client, base, name string, m *core.Model, probes [][]float64) (int, error) {
-	want := m.Schema.Len()
 	var finite [][]float64
 	for _, x := range probes {
-		if len(x) != want {
-			continue // tree wider than schema; not servable
-		}
 		ok := true
 		for _, v := range x {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -312,7 +275,7 @@ func verifyLive(hc *http.Client, base, name string, m *core.Model, probes [][]fl
 	}
 	for i, c := range classes {
 		if want := m.Tree.Predict(finite[i]); int(c.(float64)) != want {
-			return 0, fmt.Errorf("vector %d: live batch class=%v, interpreted=%d", i, c, want)
+			return 0, fmt.Errorf("vector %d: live batch class=%v, local walk=%d", i, c, want)
 		}
 	}
 	singles := len(finite)
@@ -326,7 +289,7 @@ func verifyLive(hc *http.Client, base, name string, m *core.Model, probes [][]fl
 		}
 		class, _ := out["class"].(float64)
 		if want := m.Tree.Predict(finite[i]); int(class) != want {
-			return 0, fmt.Errorf("vector %d: live class=%g, interpreted=%d", i, class, want)
+			return 0, fmt.Errorf("vector %d: live class=%g, local walk=%d", i, class, want)
 		}
 	}
 	return len(finite) + singles, nil

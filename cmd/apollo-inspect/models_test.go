@@ -3,13 +3,15 @@ package main
 import (
 	"bytes"
 	"io"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
 	"apollo/internal/core"
-	"apollo/internal/ctree"
+	"apollo/internal/dtree"
 	"apollo/internal/registry"
+	"apollo/internal/server"
 )
 
 // captureStdout runs f with os.Stdout redirected and returns what it
@@ -38,7 +40,7 @@ func TestModelsCmdFromFileAndDir(t *testing.T) {
 	if err != nil {
 		t.Fatalf("models -model: %v\n%s", err, out)
 	}
-	for _, want := range []string{"flat bytes", "execution_policy", "compiled == interpreted"} {
+	for _, want := range []string{"depth", "execution_policy", "tree valid"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("models output missing %q:\n%s", want, out)
 		}
@@ -63,8 +65,21 @@ func TestModelsCmdFromFileAndDir(t *testing.T) {
 	if err != nil {
 		t.Fatalf("models -dir: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "policy") || !strings.Contains(out, "compiled == interpreted") {
+	if !strings.Contains(out, "policy") || !strings.Contains(out, "tree valid") {
 		t.Errorf("dir report wrong:\n%s", out)
+	}
+
+	// Live service source: the local walk must agree with /predict.
+	ts := httptest.NewServer(server.New(reg).Handler())
+	defer ts.Close()
+	out, err = captureStdout(t, func() error {
+		return runModelsCmd([]string{"-url", ts.URL, "-verify", "-vectors", "32"})
+	})
+	if err != nil {
+		t.Fatalf("models -url: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "local walk == live /predict") {
+		t.Errorf("url report wrong:\n%s", out)
 	}
 }
 
@@ -82,7 +97,7 @@ func TestModelsCmdFlagValidation(t *testing.T) {
 
 // TestProbeVectorsCoverBoundaries asserts the corpus probes every split
 // threshold at and one ULP around the boundary — the vectors where a
-// `<=` versus `<` compilation mistake would surface.
+// `<=` versus `<` mistake would surface.
 func TestProbeVectorsCoverBoundaries(t *testing.T) {
 	path := savedModel(t)
 	m, err := core.LoadModel(path)
@@ -93,11 +108,23 @@ func TestProbeVectorsCoverBoundaries(t *testing.T) {
 	if len(probes) < 16 {
 		t.Fatalf("only %d probes", len(probes))
 	}
-	ct, err := ctree.Compile(m.Tree)
-	if err != nil {
-		t.Fatal(err)
+	var walk func(n *dtree.Node)
+	walk = func(n *dtree.Node) {
+		if n.IsLeaf() {
+			return
+		}
+		found := false
+		for _, x := range probes {
+			if len(x) != m.Schema.Len() {
+				t.Fatalf("probe width %d, schema %d", len(x), m.Schema.Len())
+			}
+			found = found || x[n.Feature] == n.Threshold
+		}
+		if !found {
+			t.Errorf("no probe sits on threshold %g of feature %d", n.Threshold, n.Feature)
+		}
+		walk(n.Left)
+		walk(n.Right)
 	}
-	if err := verifyCompiled(m, ct, probes); err != nil {
-		t.Fatalf("differential verification failed: %v", err)
-	}
+	walk(m.Tree.Root)
 }

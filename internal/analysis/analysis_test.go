@@ -117,11 +117,11 @@ func TestHotPathCorpus(t *testing.T) {
 	}
 }
 
-// TestCtreeCorpus pins the compiled-decision-path contract: the flat
-// threaded-array walk idiom (including dynamic dispatch of an installed
-// predict closure and a coldpath specialization builder) analyzes
-// clean, while growing trails, locking the walk, or boxing the class
-// produce exactly the marked diagnostics.
+// TestCtreeCorpus runs the hotpath analyzer over a self-contained
+// threaded-array tree walk: the walk idiom (including dynamic dispatch
+// of an installed predict closure and a coldpath specialization
+// builder) analyzes clean, while growing trails, locking the walk, or
+// boxing the class produce exactly the marked diagnostics.
 func TestCtreeCorpus(t *testing.T) {
 	diags := runCorpus(t, "ctreemod", []*Analyzer{HotPath})
 	for _, d := range diags {

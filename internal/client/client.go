@@ -1,9 +1,8 @@
 // Package client consumes the Apollo model service from inside an
 // application process. It fetches models with conditional GETs (ETag /
-// If-None-Match), compiles each fetched tree into its flat ctree form
-// and installs the specialized predict closure behind an atomic pointer
-// — every decision, first sight or not, is one lock-free map read plus a
-// compiled array walk, with no per-vector memo to miss. Crucially for a
+// If-None-Match) and installs each fetched version behind an atomic
+// pointer — every decision, first sight or not, is one lock-free map
+// read plus a tree walk, with no per-vector memo to miss. Crucially for a
 // tuner on an application's launch hot path the client also degrades
 // gracefully: when the server is unreachable it serves the last fetched
 // model, or nothing at all (the tuner then uses its base parameters),
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"apollo/internal/core"
-	"apollo/internal/ctree"
 )
 
 // ErrNotFound reports that the service has no model under the requested
@@ -45,19 +43,11 @@ type Cached struct {
 	SchemaHash string
 	// Model is the deserialized model.
 	Model *core.Model
-	// Compiled is the tree flattened at fetch time (nil only when the
-	// compiler rejected it; predicts then fall back to the interpreted
-	// walk).
-	Compiled *ctree.Tree
 	// Lineage is the provenance block from the fetched envelope (nil
 	// for hand-published or legacy models); its loop ID lets the client
 	// stamp swap events and telemetry batches with the retrain cycle
 	// that produced the version it runs.
 	Lineage *core.Lineage
-
-	// predict is the specialized closure Compiled.Func built when this
-	// version was installed — the one indirect call a hot decision makes.
-	predict func(x []float64) int
 }
 
 // Options tunes a client; the zero value picks sensible defaults.
@@ -271,12 +261,6 @@ func (c *Client) Fetch(name string) (*Cached, error) {
 			Model:      env.Model,
 			Lineage:    env.Lineage,
 		}
-		// Compile and specialize once per installed version, here on the
-		// fetch (cold) path; every later Predict just calls the closure.
-		if ct, err := env.Model.Compile(); err == nil {
-			next.Compiled = ct
-			next.predict = ct.Func()
-		}
 		st.cur.Store(next)
 		c.ok(st)
 		return next, nil
@@ -335,7 +319,7 @@ func (c *Client) backoff(failures int) time.Duration {
 // own schema. The decision path never blocks on the network: it uses
 // whatever model Fetch last cached, and errors only if no model has ever
 // been fetched. Every decision — there is no warm-up and no per-vector
-// memo to miss — costs one atomic map load plus the compiled tree walk
+// memo to miss — costs one atomic map load plus the walk of the tree
 // installed at fetch time: no locks, no allocation (apollo-vet and the
 // zero-alloc guard test both enforce this).
 //
@@ -354,44 +338,7 @@ func (c *Client) Predict(name string, x []float64) (int, error) {
 	if len(x) != cur.Model.Schema.Len() {
 		return 0, sizeMismatch(name, len(x), cur.Model.Schema.Len())
 	}
-	if cur.predict != nil {
-		return cur.predict(x), nil
-	}
 	return cur.Model.Predict(x), nil
-}
-
-// PredictN evaluates the named model on a batch of vectors, writing
-// classes into out (len(out) >= len(X)). One compiled walk amortizes the
-// name resolution and closure dispatch over the whole batch, so the
-// per-launch cost is below a single Predict — the API a tuner uses when
-// it decides a vector of queued launches at once. Allocation-free.
-//
-//apollo:hotpath
-func (c *Client) PredictN(name string, X [][]float64, out []int) error {
-	var cur *Cached
-	if st, ok := (*c.models.Load())[name]; ok {
-		cur = st.cur.Load()
-	}
-	if cur == nil {
-		var err error
-		if cur, err = c.predictBootstrap(name); err != nil {
-			return err
-		}
-	}
-	want := cur.Model.Schema.Len()
-	for _, x := range X {
-		if len(x) != want {
-			return sizeMismatch(name, len(x), want)
-		}
-	}
-	if cur.Compiled != nil {
-		cur.Compiled.PredictN(X, out)
-		return nil
-	}
-	for i, x := range X {
-		out[i] = cur.Model.Predict(x)
-	}
-	return nil
 }
 
 // predictBootstrap resolves the first decision for a model name: fetch

@@ -104,7 +104,7 @@ func TestPushFetchConditionalGet(t *testing.T) {
 	}
 }
 
-func TestPredictUsesCompiledModel(t *testing.T) {
+func TestPredictUsesCachedModel(t *testing.T) {
 	ts, _ := newService(t)
 	c := New(ts.URL, Options{})
 	m := testModel(t, false)
@@ -120,11 +120,10 @@ func TestPredictUsesCompiledModel(t *testing.T) {
 	if class != int(raja.SeqExec) {
 		t.Errorf("class = %d, want seq", class)
 	}
-	// The fetch installed a compiled tree and every prediction agrees
-	// with the interpreted walk.
-	cur := c.Cached("p")
-	if cur == nil || cur.Compiled == nil || cur.predict == nil {
-		t.Fatal("fetched model was not compiled and specialized")
+	// The fetch cached the model and every prediction agrees with a
+	// walk of the pushed model's tree.
+	if cur := c.Cached("p"); cur == nil {
+		t.Fatal("fetched model was not cached")
 	}
 	ni := m.Schema.Index(features.NumIndices)
 	for i := 0; i < 64; i++ {
@@ -134,45 +133,12 @@ func TestPredictUsesCompiledModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := m.Predict(x); got != want {
-			t.Fatalf("vector %d: compiled predict %d, interpreted %d", i, got, want)
+			t.Fatalf("vector %d: client predict %d, model %d", i, got, want)
 		}
 	}
 	// Wrong-length vectors are rejected.
 	if _, err := c.Predict("p", []float64{1}); err == nil {
 		t.Error("short vector accepted")
-	}
-}
-
-func TestPredictNMatchesPredict(t *testing.T) {
-	ts, _ := newService(t)
-	c := New(ts.URL, Options{})
-	m := testModel(t, false)
-	if _, err := c.Push("p", m); err != nil {
-		t.Fatal(err)
-	}
-	ni := m.Schema.Index(features.NumIndices)
-	X := make([][]float64, 32)
-	for i := range X {
-		X[i] = make([]float64, m.Schema.Len())
-		X[i][ni] = float64(i * 513)
-	}
-	out := make([]int, len(X))
-	if err := c.PredictN("p", X, out); err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range X {
-		want, err := c.Predict("p", x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[i] != want {
-			t.Errorf("batch[%d] = %d, Predict = %d", i, out[i], want)
-		}
-	}
-	// A wrong-length vector anywhere in the batch rejects the call.
-	X[7] = []float64{1}
-	if err := c.PredictN("p", X, out); err == nil {
-		t.Error("short vector in batch accepted")
 	}
 }
 
@@ -378,8 +344,8 @@ func benchClient(b *testing.B) (*Client, []float64, int) {
 }
 
 // BenchmarkClientCachedPredict measures a steady-state decision on a
-// repeated vector: one atomic map load plus the compiled walk — no
-// network, no interpreted tree, no memo.
+// repeated vector: one atomic map load plus the tree walk — no network,
+// no memo.
 func BenchmarkClientCachedPredict(b *testing.B) {
 	c, x, _ := benchClient(b)
 	b.ReportAllocs()
@@ -396,9 +362,8 @@ func BenchmarkClientCachedPredict(b *testing.B) {
 }
 
 // BenchmarkClientCacheMissPredict drives a never-before-seen vector
-// through every call — the case that used to pay the memo's map churn
-// and an interpreted walk, and now costs the same compiled walk as a
-// repeat (0 allocs; the acceptance bar is ≥3x over the old path).
+// through every call — the case that used to pay the memo's map churn,
+// and now costs the same tree walk as a repeat (0 allocs).
 func BenchmarkClientCacheMissPredict(b *testing.B) {
 	c, x, ni := benchClient(b)
 	b.ReportAllocs()
@@ -413,28 +378,4 @@ func BenchmarkClientCacheMissPredict(b *testing.B) {
 		sink += class
 	}
 	_ = sink
-}
-
-// BenchmarkClientPredictBatched amortizes one name resolution and one
-// compiled walk over a vector of launches; ns/launch must come in under
-// the single-predict cost.
-func BenchmarkClientPredictBatched(b *testing.B) {
-	c, x, ni := benchClient(b)
-	const batch = 64
-	X := make([][]float64, batch)
-	for i := range X {
-		v := make([]float64, len(x))
-		copy(v, x)
-		v[ni] = float64(i * 777)
-		X[i] = v
-	}
-	out := make([]int, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.PredictN("bench/policy", X, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/launch")
 }

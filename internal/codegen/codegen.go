@@ -20,9 +20,8 @@
 //	}
 //
 // Go has no dlopen-style model reloading, so the runtime tuner evaluates
-// the tree directly (package tuner); the generated source demonstrates —
-// and the benchmarks measure — the compiled path, and CompileFunc provides
-// an in-process equivalent by closing over the tree.
+// the tree directly (package tuner): Model.Params(Model.Predict(x), base)
+// is the in-process equivalent of linking the generated function.
 package codegen
 
 import (
@@ -125,29 +124,4 @@ func formatFloat(v float64) string {
 		s += ".0"
 	}
 	return s
-}
-
-// DecisionFunc is a compiled-in decision function: it maps a feature
-// vector (model-schema layout) to execution parameters merged over base.
-type DecisionFunc func(x []float64, base raja.Params) raja.Params
-
-// CompileFunc builds an in-process DecisionFunc for the model. It is the
-// runtime stand-in for linking the generated source into the application:
-// same decision semantics, measured by the benchmarks at a few
-// nanoseconds per call.
-func CompileFunc(m *core.Model) DecisionFunc {
-	tree := m.Tree
-	param := m.Param
-	return func(x []float64, base raja.Params) raja.Params {
-		class := tree.Predict(x)
-		switch param {
-		case core.ExecutionPolicy:
-			base.Policy = raja.Policy(class)
-		case core.ChunkSize:
-			if class >= 0 && class < len(raja.ChunkSizes) {
-				base.Chunk = raja.ChunkSizes[class]
-			}
-		}
-		return base
-	}
 }

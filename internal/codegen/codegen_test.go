@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"apollo/internal/core"
 	"apollo/internal/dataset"
@@ -107,31 +106,6 @@ func TestGenerateChunkModel(t *testing.T) {
 	fset := token.NewFileSet()
 	if _, err := parser.ParseFile(fset, "gen.go", src, 0); err != nil {
 		t.Fatalf("chunk source does not parse: %v", err)
-	}
-}
-
-func TestCompileFuncMatchesTreeProperty(t *testing.T) {
-	m, _ := trainedPolicyModel(t)
-	fn := CompileFunc(m)
-	base := raja.Params{Policy: raja.OmpParallelForExec, Chunk: 64}
-	f := func(raw uint32) bool {
-		n := float64(raw % 200000)
-		x := []float64{n, 1}
-		got := fn(x, base)
-		want := m.Params(m.Predict(x), base)
-		return got == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCompileFuncPreservesUntouchedParams(t *testing.T) {
-	m, _ := trainedPolicyModel(t)
-	fn := CompileFunc(m)
-	out := fn([]float64{10, 1}, raja.Params{Policy: raja.OmpParallelForExec, Chunk: 256})
-	if out.Chunk != 256 {
-		t.Errorf("policy model clobbered chunk: %v", out)
 	}
 }
 

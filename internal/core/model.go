@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"apollo/internal/ctree"
 	"apollo/internal/dtree"
 	"apollo/internal/features"
 	"apollo/internal/raja"
@@ -43,12 +42,6 @@ func Train(set *LabeledSet, cfg TrainConfig) (*Model, error) {
 // model's own schema.
 func (m *Model) Predict(x []float64) int { return m.Tree.Predict(x) }
 
-// Compile flattens the model's tree into its compiled form (see package
-// ctree). Publish-time consumers — the registry, the serving client,
-// projector construction — call this once per model swap so the hot path
-// never touches the interpreted node structs.
-func (m *Model) Compile() (*ctree.Tree, error) { return ctree.Compile(m.Tree) }
-
 // Params converts a predicted class into execution parameters, merging it
 // into base (so a policy model leaves the chunk choice alone and vice
 // versa). This is the model_params blackboard write of the paper.
@@ -69,65 +62,57 @@ func (m *Model) Params(class int, base raja.Params) raja.Params {
 // mapping is precomputed so the per-launch cost is a few slice reads.
 type Projector struct {
 	model *Model
-	idx   []int // model feature i reads source[idx[i]]; -1 reads 0
-	src   []int32
-	ct    *ctree.Tree
-	fn    func(x []float64) int
+	src   []int32 // model feature i reads source[src[i]]; -1 reads 0
 	pool  sync.Pool
 }
 
-// NewProjector builds a projector from the source schema onto the model,
-// compiling the tree and specializing the predict closure — projector
-// construction is the model-swap seam, so this is where publish-time
-// compilation lands for the tuner path. A tree the compiler rejects
-// (malformed structure) falls back to the interpreted walk.
+// NewProjector builds a projector from the source schema onto the model.
 func (m *Model) NewProjector(source *features.Schema) *Projector {
-	p := &Projector{model: m, idx: make([]int, m.Schema.Len())}
-	p.src = make([]int32, len(p.idx))
+	p := &Projector{model: m, src: make([]int32, m.Schema.Len())}
 	for i, name := range m.Schema.Names() {
-		p.idx[i] = source.Index(name)
-		p.src[i] = int32(p.idx[i])
-	}
-	if ct, err := ctree.Compile(m.Tree); err == nil {
-		p.ct = ct
-		p.fn = ct.Func()
+		p.src[i] = int32(source.Index(name))
 	}
 	p.pool.New = func() any {
-		buf := make([]float64, len(p.idx))
+		buf := make([]float64, len(p.src))
 		return &buf
 	}
 	return p
 }
 
-// Compiled returns the projector's compiled tree, nil when compilation
-// was rejected and the projector runs interpreted.
-func (p *Projector) Compiled() *ctree.Tree { return p.ct }
+// Compiled returns the decision tree Predict walks. The name dates from
+// when projectors carried a second, flattened copy of the tree; it is
+// kept because the benchmark's layer timing calls it to time the walk
+// alone.
+func (p *Projector) Compiled() *dtree.Tree { return p.model.Tree }
 
 // SourceIndex returns the model→source feature index mapping (-1 for
-// model features the source lacks) in the form ctree.DecodeOffsets
-// takes. Callers must not mutate it.
+// model features the source lacks). Callers must not mutate it.
 func (p *Projector) SourceIndex() []int32 { return p.src }
 
-// Predict projects the source-layout vector and evaluates the model.
-// Scratch space comes from an internal pool, so it allocates nothing in
-// steady state and is safe for concurrent callers — the tuner evaluates
-// one shared projector from many goroutine contexts at once.
-func (p *Projector) Predict(source []float64) int {
+// project copies the source-layout vector into a pooled model-layout
+// buffer; the caller returns the buffer with p.pool.Put.
+//
+//apollo:hotpath
+func (p *Projector) project(source []float64) *[]float64 {
 	bufp := p.pool.Get().(*[]float64)
 	buf := *bufp
-	for i, j := range p.idx {
+	for i, j := range p.src {
 		if j >= 0 {
 			buf[i] = source[j]
 		} else {
 			buf[i] = 0
 		}
 	}
-	var class int
-	if p.fn != nil {
-		class = p.fn(buf)
-	} else {
-		class = p.model.Tree.Predict(buf)
-	}
+	return bufp
+}
+
+// Predict projects the source-layout vector and evaluates the model.
+// Scratch space comes from an internal pool, so it allocates nothing in
+// steady state and is safe for concurrent callers — the tuner evaluates
+// one shared projector from many goroutine contexts at once.
+func (p *Projector) Predict(source []float64) int {
+	bufp := p.project(source)
+	class := p.model.Tree.Predict(*bufp)
 	p.pool.Put(bufp)
 	return class
 }
@@ -145,48 +130,13 @@ func (p *Projector) Model() *Model { return p.model }
 //
 //apollo:hotpath
 func (p *Projector) PredictTrail(source []float64, trail []dtree.TrailStep) (class, steps int) {
-	bufp := p.pool.Get().(*[]float64)
-	buf := *bufp
-	for i, j := range p.idx {
-		if j >= 0 {
-			buf[i] = source[j]
-		} else {
-			buf[i] = 0
-		}
-	}
-	if p.ct != nil {
-		class, steps = p.ct.PredictTrail(buf, trail)
-	} else {
-		class, steps = p.model.Tree.PredictTrail(buf, trail)
-	}
+	bufp := p.project(source)
+	class, steps = p.model.Tree.PredictTrail(*bufp, trail)
 	for i := 0; i < steps; i++ {
-		trail[i].Feature = int32(p.idx[trail[i].Feature])
+		trail[i].Feature = p.src[trail[i].Feature]
 	}
 	p.pool.Put(bufp)
 	return class, steps
-}
-
-// PredictOffsets is PredictTrail in the compact flight-recorder
-// encoding: it evaluates the compiled tree while recording visited node
-// offsets (see ctree.PredictOffsets). Callers must gate on Compiled()
-// being non-nil; the offsets decode against Compiled's layout with
-// SourceIndex as the feature mapping. Allocation-free and safe for
-// concurrent callers.
-//
-//apollo:hotpath
-func (p *Projector) PredictOffsets(source []float64, offs []int32) (class, n int) {
-	bufp := p.pool.Get().(*[]float64)
-	buf := *bufp
-	for i, j := range p.idx {
-		if j >= 0 {
-			buf[i] = source[j]
-		} else {
-			buf[i] = 0
-		}
-	}
-	class, n = p.ct.PredictOffsets(buf, offs)
-	p.pool.Put(bufp)
-	return class, n
 }
 
 // FeatureRanking returns the model's features ordered by decreasing Gini
@@ -272,6 +222,19 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	}
 	if j.Tree == nil {
 		return fmt.Errorf("core: model has no tree")
+	}
+	seen := make(map[string]bool, len(j.Features))
+	for _, name := range j.Features {
+		if seen[name] {
+			return fmt.Errorf("core: duplicate feature %q", name)
+		}
+		seen[name] = true
+	}
+	// The tree decoder bounds every split by the tree's declared width;
+	// pinning that width to the schema's keeps every walk over a vector
+	// the schema lays out in range.
+	if j.Tree.NumFeatures != len(j.Features) {
+		return fmt.Errorf("core: tree reads %d features but the schema names %d", j.Tree.NumFeatures, len(j.Features))
 	}
 	m.Schema = features.NewSchema(j.Features...)
 	m.Tree = j.Tree

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -114,15 +115,43 @@ func (t *Tree) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// Validate reports whether every walk over t ends at a leaf without
+// indexing out of range: the root is set, every internal node has both
+// children and splits on a feature below NumFeatures, and every node's
+// label is non-negative and below NumClasses. A zero NumFeatures or
+// NumClasses leaves that bound unchecked, since a hand-built tree may
+// not set it; such a tree's callers must pass vectors wider than its
+// largest split feature. Decoding enforces the declared bounds as given.
+// The registry calls Validate before it publishes or hot-reloads a model.
+func (t *Tree) Validate() error {
+	if t == nil || t.Root == nil {
+		return fmt.Errorf("dtree: nil tree")
+	}
+	numFeatures, numClasses := t.NumFeatures, t.NumClasses
+	if numFeatures == 0 {
+		numFeatures = math.MaxInt
+	}
+	if numClasses == 0 {
+		numClasses = math.MaxInt
+	}
+	return validate(t.Root, numFeatures, numClasses)
+}
+
 func validate(n *Node, numFeatures, numClasses int) error {
-	if n == nil {
+	if n.Label < 0 {
+		return fmt.Errorf("dtree: node has negative label %d", n.Label)
+	}
+	if n.Label >= numClasses {
+		return fmt.Errorf("dtree: node label %d outside [0,%d)", n.Label, numClasses)
+	}
+	if n.IsLeaf() {
 		return nil
+	}
+	if n.Left == nil || n.Right == nil {
+		return fmt.Errorf("dtree: internal node on feature %d missing a child", n.Feature)
 	}
 	if n.Feature >= numFeatures {
 		return fmt.Errorf("dtree: node splits on feature %d but model has %d features", n.Feature, numFeatures)
-	}
-	if n.Label < 0 || n.Label >= numClasses {
-		return fmt.Errorf("dtree: node label %d outside [0,%d)", n.Label, numClasses)
 	}
 	if err := validate(n.Left, numFeatures, numClasses); err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"apollo/internal/ctree"
 	"apollo/internal/dtree"
 )
 
@@ -23,16 +22,11 @@ type Capture struct {
 	Records []CaptureRecord `json:"records"`
 }
 
-// CaptureSite is one registered decision site. Sites with a registered
-// TrailDecoder embed the compiled-tree layout and feature mapping, so an
-// offline consumer (apollo-inspect flight) can decode compact offset
-// trails from the records without the original model.
+// CaptureSite is one registered decision site.
 type CaptureSite struct {
-	ID       string        `json:"id"`
-	Name     string        `json:"name"`
-	Features []string      `json:"features,omitempty"`
-	CTree    *ctree.Layout `json:"ctree,omitempty"`
-	Src      []int32       `json:"src,omitempty"`
+	ID       string   `json:"id"`
+	Name     string   `json:"name"`
+	Features []string `json:"features,omitempty"`
 }
 
 // CaptureRecord is one decision in a Capture.
@@ -52,10 +46,6 @@ type CaptureRecord struct {
 	ModelNS     float64            `json:"model_ns,omitempty"`
 	Features    map[string]float64 `json:"features,omitempty"`
 	Path        []string           `json:"path,omitempty"`
-	// TrailOffsets is the raw compact trail for records written by a
-	// compiled site (Path above is its decoded rendering when the site's
-	// decoder was available at capture time).
-	TrailOffsets []int32 `json:"trail_offsets,omitempty"`
 }
 
 // Capture snapshots the recorder into its JSON form.
@@ -75,10 +65,6 @@ func (r *Recorder) Capture() *Capture {
 				cs.Features = s.features
 			} else {
 				cs.Features = r.featureNames
-			}
-			if d := s.dec.Load(); d != nil && d.Tree != nil {
-				cs.CTree = d.Tree.Layout()
-				cs.Src = d.Src
 			}
 			c.Sites = append(c.Sites, cs)
 		}
@@ -125,23 +111,6 @@ func (r *Recorder) captureRecord(rec *Record) CaptureRecord {
 			n = MaxTrail
 		}
 		out.Path = ExplainTrail(rec.Trail[:n], names)
-	}
-	if n := int(rec.OffsetsLen); n > 0 {
-		if n > MaxOffsets {
-			n = MaxOffsets
-		}
-		out.TrailOffsets = append([]int32(nil), rec.Offsets[:n]...)
-		if s := r.siteFor(rec.Site); s != nil && out.Path == nil {
-			if d := s.dec.Load(); d != nil && d.Tree != nil {
-				var steps [MaxTrail]dtree.TrailStep
-				nf := int(rec.NumFeatures)
-				if nf > MaxFeatures {
-					nf = MaxFeatures
-				}
-				k := d.Tree.DecodeOffsets(out.TrailOffsets, d.Src, rec.Features[:nf], steps[:])
-				out.Path = ExplainTrail(steps[:k], names)
-			}
-		}
 	}
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"apollo/internal/ctree"
 	"apollo/internal/dtree"
 )
 
@@ -266,66 +265,6 @@ func TestCaptureExplains(t *testing.T) {
 	}
 	if len(cr.Path) != 2 || cr.Path[0] != wantPath[0] || cr.Path[1] != wantPath[1] {
 		t.Fatalf("path: %q, want %q", cr.Path, wantPath)
-	}
-}
-
-// TestCaptureDecodesOffsets is the compact-trail round trip: a compiled
-// site writes only node offsets; the capture layer must expand them into
-// the same explained path the TrailStep form would have produced, and
-// embed the compiled layout so offline consumers can re-decode.
-func TestCaptureDecodesOffsets(t *testing.T) {
-	names := []string{"num_indices", "trip_count"}
-	dt := &dtree.Tree{
-		Root: &dtree.Node{
-			Feature: 0, Threshold: 96,
-			Left: &dtree.Node{Feature: -1, Label: 0},
-			Right: &dtree.Node{
-				Feature: 1, Threshold: 256,
-				Left:  &dtree.Node{Feature: -1, Label: 0},
-				Right: &dtree.Node{Feature: -1, Label: 1},
-			},
-		},
-		NumFeatures: 2, NumClasses: 2,
-	}
-	ct, err := ctree.Compile(dt)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-
-	r := New(Options{Shards: 1, ShardCapacity: 8, FeatureNames: names})
-	r.RegisterSite(7, "daxpy", nil)
-	r.SetSiteDecoder(7, &TrailDecoder{Tree: ct, Src: []int32{0, 1}})
-	if d := r.SiteDecoder(7); d == nil || d.Tree != ct {
-		t.Fatal("SiteDecoder does not return the registered decoder")
-	}
-
-	rec, tok := r.Reserve(7)
-	if rec == nil {
-		t.Fatal("reservation dropped on an empty ring")
-	}
-	rec.NumFeatures = 2
-	rec.Features[0] = 4096 // num_indices > 96 → right
-	rec.Features[1] = 4096 // trip_count > 256 → right
-	class, n := ct.PredictOffsets([]float64{4096, 4096}, rec.Offsets[:])
-	rec.OffsetsLen = int32(n)
-	rec.Predicted = int32(class)
-	rec.Policy = int32(class)
-	r.Commit(tok)
-
-	c := r.Capture()
-	if len(c.Sites) != 1 || c.Sites[0].CTree == nil || len(c.Sites[0].Src) != 2 {
-		t.Fatalf("site does not embed compiled layout: %+v", c.Sites)
-	}
-	cr := c.Records[0]
-	if len(cr.TrailOffsets) != n {
-		t.Fatalf("trail_offsets %v, want %d entries", cr.TrailOffsets, n)
-	}
-	wantPath := []string{
-		"num_indices (=4096) > 96 → right",
-		"trip_count (=4096) > 256 → right",
-	}
-	if len(cr.Path) != 2 || cr.Path[0] != wantPath[0] || cr.Path[1] != wantPath[1] {
-		t.Fatalf("decoded path %q, want %q", cr.Path, wantPath)
 	}
 }
 

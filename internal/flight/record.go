@@ -32,10 +32,6 @@ const (
 	// generous trees fully explained; deeper paths keep walking but stop
 	// recording (dtree.PredictTrail semantics).
 	MaxTrail = 24
-
-	// MaxOffsets sizes the compact offset trail: one internal-node offset
-	// per level plus the terminal leaf reference.
-	MaxOffsets = MaxTrail + 1
 )
 
 // Record is one decision's provenance. It is a fixed-size, pointer-free
@@ -80,20 +76,10 @@ type Record struct {
 	// extracting the feature snapshot and evaluating the model.
 	FeatureNS float64
 	ModelNS   float64
-	// OffsetsLen bounds the valid prefix of Offsets.
-	OffsetsLen int32
 	// Features is the feature snapshot, source-schema layout.
 	Features [MaxFeatures]float64
 	// Trail is the root-to-leaf decision trail, with Feature indices in
-	// the source schema (-1 for model features the source lacks).
-	// Single-model compiled sites leave it empty and record Offsets
-	// instead; multi-model sites (policy + chunk trails concatenated)
-	// still use it.
+	// the source schema (-1 for model features the source lacks). Sites
+	// that run both a policy and a chunk model concatenate the two trails.
 	Trail [MaxTrail]dtree.TrailStep
-	// Offsets is the compact trail encoding a compiled site writes: the
-	// offset of every visited internal node in the site's ctree layout,
-	// terminated by the (negative) leaf reference — 4 bytes per step
-	// against TrailStep's 24. The capture layer expands it back into a
-	// full explained path via the site's registered TrailDecoder.
-	Offsets [MaxOffsets]int32
 }

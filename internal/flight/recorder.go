@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"apollo/internal/ctree"
 )
 
 // maxClasses bounds the per-site predicted-runtime table: one EWMA per
@@ -122,18 +120,6 @@ type site struct {
 	ewma     [maxClasses]atomic.Uint64
 	name     string
 	features []string
-	// dec is the decoder for the site's compact offset trails, swapped
-	// whenever the site's compiled model changes.
-	dec atomic.Pointer[TrailDecoder]
-}
-
-// TrailDecoder ties a site's compact offset trails (Record.Offsets) to
-// the compiled tree that wrote them, plus the model→source feature index
-// mapping for rendering source-schema explanations. Immutable once
-// registered; a model swap registers a fresh decoder.
-type TrailDecoder struct {
-	Tree *ctree.Tree
-	Src  []int32
 }
 
 // New builds a Recorder.
@@ -234,7 +220,6 @@ func (r *Recorder) Reserve(siteID uint64) (*Record, Token) {
 	rec.Predicted = -1
 	rec.NumFeatures = 0
 	rec.TrailLen = 0
-	rec.OffsetsLen = 0
 	rec.Explored = false
 	rec.PredictedNS = 0
 	rec.ObservedNS = 0
@@ -328,33 +313,6 @@ func (r *Recorder) siteFor(id uint64) *site {
 		return nil
 	}
 	return (*m)[id]
-}
-
-// SiteDecoder returns the site's current offset-trail decoder (nil when
-// the site is unregistered or has never installed one). Emitters read it
-// per launch to detect model swaps, so it is one lock-free map load.
-//
-//apollo:hotpath
-func (r *Recorder) SiteDecoder(id uint64) *TrailDecoder {
-	s := r.siteFor(id)
-	if s == nil {
-		return nil
-	}
-	return s.dec.Load()
-}
-
-// SetSiteDecoder installs the decoder for a site's compact offset
-// trails. Call it after RegisterSite, and again whenever the site's
-// compiled model changes; records written under an older decoder decode
-// against the new one only as far as the layouts agree, which is why
-// emitters swap the decoder before writing the first record of a new
-// model. A no-op for unregistered sites. Runs at model-swap time, never
-// per launch (the TrailDecoder the caller allocates is what keeps it off
-// the hot path; the install itself is one atomic pointer store).
-func (r *Recorder) SetSiteDecoder(id uint64, d *TrailDecoder) {
-	if s := r.siteFor(id); s != nil {
-		s.dec.Store(d)
-	}
 }
 
 // SiteName returns the registered name for a site ID ("" when unknown).

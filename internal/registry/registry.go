@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"apollo/internal/core"
-	"apollo/internal/ctree"
 )
 
 // Entry is one published model version. Entries are immutable: a
@@ -45,28 +44,12 @@ type Entry struct {
 	SchemaHash string
 	// Model is the deserialized model, ready to evaluate.
 	Model *core.Model
-	// Compiled is the model's tree flattened at publish time (see
-	// package ctree); the serving layer's cache-miss predicts walk this,
-	// never the interpreted nodes.
-	Compiled *ctree.Tree
 	// Lineage is the provenance block stamped at train time (nil for
 	// hand-published or legacy models). It rides inside Raw, so it
 	// survives persistence, sync-pull, and client fetch unchanged.
 	Lineage *core.Lineage
 	// Raw is the canonical envelope JSON as persisted and served.
 	Raw []byte
-}
-
-// PredictClass evaluates x (model-schema layout) through the compiled
-// tree, falling back to the interpreted walk for the rare entry whose
-// tree the compiler rejected.
-//
-//apollo:hotpath
-func (e *Entry) PredictClass(x []float64) int {
-	if e.Compiled != nil {
-		return e.Compiled.Predict(x)
-	}
-	return e.Model.Predict(x)
 }
 
 // Registry is the store. Reads are lock-free (one atomic map load plus
@@ -223,11 +206,9 @@ func (r *Registry) publishLocked(name string, wantVersion int, m *core.Model, li
 	if version < 1 {
 		version = 1
 	}
-	// Compile before accepting: a model the compiler rejects is
-	// structurally broken (missing children, out-of-range features) and
-	// must not be published at all.
-	ct, err := ctree.Compile(m.Tree)
-	if err != nil {
+	// A structurally broken tree (missing children, out-of-range
+	// features) must not be published at all.
+	if err := m.Tree.Validate(); err != nil {
 		return nil, fmt.Errorf("registry: publishing %q: %w", name, err)
 	}
 	env := core.WrapModel(name, version, m)
@@ -243,7 +224,6 @@ func (r *Registry) publishLocked(name string, wantVersion int, m *core.Model, li
 		ETag:       contentETag(raw),
 		SchemaHash: m.SchemaHash(),
 		Model:      m,
-		Compiled:   ct,
 		Lineage:    lin,
 		Raw:        raw,
 	}
@@ -385,12 +365,11 @@ func (r *Registry) scan() (int, error) {
 			r.logf("registry: ignoring corrupt model file %s: %v", f.path, err)
 			continue
 		}
-		ct, err := ctree.Compile(env.Model.Tree)
-		if err != nil {
+		if err := env.Model.Tree.Validate(); err != nil {
 			r.mu.Unlock()
-			// Parsed but uncompilable: treat it exactly like a corrupt
-			// file — keep serving what we have.
-			r.logf("registry: ignoring uncompilable model file %s: %v", f.path, err)
+			// Parsed but structurally broken: treat it exactly like a
+			// corrupt file — keep serving what we have.
+			r.logf("registry: ignoring malformed model file %s: %v", f.path, err)
 			continue
 		}
 		version := env.Version
@@ -410,7 +389,6 @@ func (r *Registry) scan() (int, error) {
 			ETag:       contentETag(data),
 			SchemaHash: env.Model.SchemaHash(),
 			Model:      env.Model,
-			Compiled:   ct,
 			Lineage:    env.Lineage,
 			Raw:        data,
 		})
@@ -450,16 +428,25 @@ func contentETag(data []byte) string {
 }
 
 // writeFileAtomic writes data via a temp file + rename so readers (and
-// the watcher of another process) never observe a torn file.
+// the watcher of another process) never observe a torn file. The temp
+// file is synced before the rename and the directory after it, so a
+// power loss right after a publish leaves either the old state or the
+// complete new file, never an empty one.
 func writeFileAtomic(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
 	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()           //apollo:errok best-effort cleanup after a failed atomic write; the original error is returned
+		os.Remove(tmp.Name()) //apollo:errok best-effort cleanup after a failed atomic write; the original error is returned
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()           //apollo:errok best-effort cleanup after a failed atomic write; the original error is returned
 		os.Remove(tmp.Name()) //apollo:errok best-effort cleanup after a failed atomic write; the original error is returned
 		return err
@@ -472,5 +459,18 @@ func writeFileAtomic(path string, data []byte) error {
 		os.Remove(tmp.Name()) //apollo:errok best-effort cleanup after a failed atomic write; the original error is returned
 		return err
 	}
-	return nil
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory so a rename inside it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close() //apollo:errok Close on the error path; the sync error is already being returned
+		return err
+	}
+	return d.Close()
 }

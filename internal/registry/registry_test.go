@@ -12,6 +12,7 @@ import (
 
 	"apollo/internal/core"
 	"apollo/internal/dataset"
+	"apollo/internal/dtree"
 	"apollo/internal/features"
 	"apollo/internal/raja"
 )
@@ -300,5 +301,43 @@ func TestScanSkipsCorruptModelFileAndLogsOnce(t *testing.T) {
 	}
 	if len(logs) != 1 {
 		t.Errorf("repeat scan logged again: %q", logs)
+	}
+}
+
+// TestPublishRejectsMalformedTreeKeepsServing: a hand-built model whose
+// tree a walk could not finish safely is refused at publish, nothing is
+// persisted for it, and the previous version keeps serving.
+func TestPublishRejectsMalformedTreeKeepsServing(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := testModel(t, false)
+	prev, err := r.Publish("lulesh/execution_policy", good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := func(l int) *dtree.Node { return &dtree.Node{Feature: -1, Label: l} }
+	width := good.Schema.Len()
+	for name, tree := range map[string]*dtree.Tree{
+		"nil root":      {NumFeatures: width, NumClasses: 2},
+		"missing child": {Root: &dtree.Node{Feature: 0, Left: leaf(0)}, NumFeatures: width, NumClasses: 2},
+		"negative label": {Root: &dtree.Node{Feature: 0, Left: leaf(-1), Right: leaf(0)},
+			NumFeatures: width, NumClasses: 2},
+		"feature out of range": {Root: &dtree.Node{Feature: width, Left: leaf(0), Right: leaf(1)},
+			NumFeatures: width, NumClasses: 2},
+	} {
+		bad := &core.Model{Param: good.Param, Schema: good.Schema, Tree: tree}
+		if _, err := r.Publish("lulesh/execution_policy", bad); err == nil {
+			t.Errorf("%s: malformed tree published", name)
+		}
+		if cur, ok := r.Get("lulesh/execution_policy"); !ok || cur != prev {
+			t.Fatalf("%s: serving %+v after a rejected publish, want version %d", name, cur, prev.Version)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "lulesh", "*.json"))
+	if err != nil || len(files) != 1 {
+		t.Errorf("registry files %v (%v), want only the first version", files, err)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"apollo/internal/ctree"
 	"apollo/internal/flight"
 	"apollo/internal/looptrace"
 	"apollo/internal/metrics"
@@ -158,33 +157,33 @@ func (s *Server) errorJSON(w http.ResponseWriter, status int, format string, arg
 	s.writeJSON(w, "error", map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// modelInfo is the JSON summary of one registry entry. Compiled carries
-// the publish-time ctree compilation stats (node counts, flat-array
-// bytes, specialization kind) when the entry compiled.
+// modelInfo is the JSON summary of one registry entry, including the
+// shape of its decision tree.
 type modelInfo struct {
-	Name       string       `json:"name"`
-	Version    int          `json:"version"`
-	ETag       string       `json:"etag"`
-	SchemaHash string       `json:"schema_hash"`
-	Parameter  string       `json:"parameter"`
-	Features   int          `json:"features"`
-	Compiled   *ctree.Stats `json:"compiled,omitempty"`
+	Name       string `json:"name"`
+	Version    int    `json:"version"`
+	ETag       string `json:"etag"`
+	SchemaHash string `json:"schema_hash"`
+	Parameter  string `json:"parameter"`
+	Features   int    `json:"features"`
+	Nodes      int    `json:"nodes"`
+	Leaves     int    `json:"leaves"`
+	Depth      int    `json:"depth"`
 }
 
 func info(e *registry.Entry) modelInfo {
-	mi := modelInfo{
+	t := e.Model.Tree
+	return modelInfo{
 		Name:       e.Name,
 		Version:    e.Version,
 		ETag:       e.ETag,
 		SchemaHash: e.SchemaHash,
 		Parameter:  e.Model.Param.String(),
 		Features:   e.Model.Schema.Len(),
+		Nodes:      t.NumNodes(),
+		Leaves:     t.NumLeaves(),
+		Depth:      t.Depth(),
 	}
-	if e.Compiled != nil {
-		st := e.Compiled.Stats()
-		mi.Compiled = &st
-	}
-	return mi
 }
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -328,7 +327,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := predictResponse{Model: e.Name, Version: e.Version}
-	if !single && len(vectors) > 1 && e.Compiled != nil {
+	if !single && len(vectors) > 1 {
 		resp.Classes = s.predictBatch(e, vectors)
 	} else {
 		for _, x := range vectors {
@@ -367,26 +366,12 @@ func (s *Server) predict(e *registry.Entry, x []float64) int {
 	if !s.fl.SiteKnown(siteID) {
 		s.fl.RegisterSite(siteID, e.Name, e.Model.Schema.Names())
 	}
-	if e.Compiled != nil {
-		// Server vectors are already in the model's own schema, so the
-		// decoder needs no source mapping; re-register only when a
-		// republish swapped the compiled tree.
-		if d := s.fl.SiteDecoder(siteID); d == nil || d.Tree != e.Compiled {
-			s.fl.SetSiteDecoder(siteID, &flight.TrailDecoder{Tree: e.Compiled})
-		}
-	}
 	t0 := flight.Now()
 	rec, tok := s.fl.Reserve(siteID)
 	if rec != nil {
-		if e.Compiled != nil {
-			var n int
-			class, n = e.Compiled.PredictOffsets(x, rec.Offsets[:])
-			rec.OffsetsLen = int32(n)
-		} else {
-			var steps int
-			class, steps = e.Model.Tree.PredictTrail(x, rec.Trail[:])
-			rec.TrailLen = int32(steps)
-		}
+		var steps int
+		class, steps = e.Model.Tree.PredictTrail(x, rec.Trail[:])
+		rec.TrailLen = int32(steps)
 		rec.NumFeatures = int32(copy(rec.Features[:], x))
 		rec.Predicted = int32(class)
 		rec.Policy = int32(class)
@@ -395,7 +380,7 @@ func (s *Server) predict(e *registry.Entry, x []float64) int {
 		rec.ObservedNS = evalNS
 		rec.PredictedNS = s.fl.PredictObserve(siteID, class, evalNS)
 	} else {
-		class = e.PredictClass(x)
+		class = e.Model.Predict(x)
 	}
 	s.fl.Commit(tok)
 	s.cacheMu.Lock()
@@ -408,16 +393,13 @@ func (s *Server) predict(e *registry.Entry, x []float64) int {
 }
 
 // predictBatch evaluates a multi-vector request through the memo cache,
-// then runs every memo-missing vector in one compiled PredictN sweep —
-// one bounds-checked dispatch for the whole batch instead of a closure
-// call per vector. Batched misses skip per-vector flight records (bulk
-// scoring is not an interactive decision site); they surface in the
-// batched-predictions counter instead.
+// then walks the tree for every memo-missing vector. Batched misses skip
+// per-vector flight records (bulk scoring is not an interactive decision
+// site); they surface in the batched-predictions counter instead.
 func (s *Server) predictBatch(e *registry.Entry, vectors [][]float64) []int {
 	classes := make([]int, len(vectors))
 	keys := make([]string, len(vectors))
 	var missIdx []int
-	var miss [][]float64
 	s.cacheMu.RLock()
 	for i, x := range vectors {
 		keys[i] = decisionKey(e.ETag, x)
@@ -425,28 +407,27 @@ func (s *Server) predictBatch(e *registry.Entry, vectors [][]float64) []int {
 			classes[i] = class
 		} else {
 			missIdx = append(missIdx, i)
-			miss = append(miss, x)
 		}
 	}
 	s.cacheMu.RUnlock()
-	if hits := len(vectors) - len(miss); hits > 0 {
+	if hits := len(vectors) - len(missIdx); hits > 0 {
 		s.met.CounterAdd("apollo_predict_cache_hits_total", "", "",
 			"Predictions answered from the decision memo cache.", uint64(hits))
 	}
-	if len(miss) == 0 {
+	if len(missIdx) == 0 {
 		return classes
 	}
-	out := make([]int, len(miss))
-	e.Compiled.PredictN(miss, out)
+	for _, i := range missIdx {
+		classes[i] = e.Model.Predict(vectors[i])
+	}
 	s.met.CounterAdd("apollo_predict_batched_total", "", "",
-		"Memo-missing vectors evaluated through the compiled batch walk.", uint64(len(miss)))
+		"Memo-missing vectors evaluated by a batch request.", uint64(len(missIdx)))
 	s.cacheMu.Lock()
-	if len(s.decisions)+len(miss) > decisionCacheCap {
+	if len(s.decisions)+len(missIdx) > decisionCacheCap {
 		s.decisions = make(map[string]int)
 	}
-	for j, i := range missIdx {
-		classes[i] = out[j]
-		s.decisions[keys[i]] = out[j]
+	for _, i := range missIdx {
+		s.decisions[keys[i]] = classes[i]
 	}
 	s.cacheMu.Unlock()
 	return classes

@@ -214,24 +214,21 @@ func TestPredictSingleBatchAndFeatures(t *testing.T) {
 	}
 }
 
-// TestPredictCompiledOffsetsAndStats covers the compiled decision path
-// end to end at the server: the model listing exposes compilation stats,
-// a cache-missing single predict records a compact offset trail the
-// registered decoder can expand, and a batch request runs memo-missing
-// vectors through the compiled batch walk (batched counter) while
-// agreeing with single-vector answers.
-func TestPredictCompiledOffsetsAndStats(t *testing.T) {
+// TestPredictTrailAndTreeStats covers the decision path end to end at
+// the server: the model listing reports the tree's shape, a
+// cache-missing single predict records the decision trail, and a batch
+// request walks memo-missing vectors (batched counter) while agreeing
+// with single-vector answers.
+func TestPredictTrailAndTreeStats(t *testing.T) {
 	reg := registry.New()
 	srv := New(reg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	m := testModel(t)
 	mi := putModel(t, ts, "policy", m)
-	if mi.Compiled == nil || mi.Compiled.Nodes == 0 || mi.Compiled.Kind == "" {
-		t.Fatalf("publish info lacks compiled stats: %+v", mi.Compiled)
-	}
-	if mi.Compiled.FlatBytes != mi.Compiled.Internal*24 {
-		t.Errorf("flat_bytes = %d, want %d", mi.Compiled.FlatBytes, mi.Compiled.Internal*24)
+	if mi.Nodes != m.Tree.NumNodes() || mi.Leaves != m.Tree.NumLeaves() || mi.Depth != m.Tree.Depth() {
+		t.Fatalf("publish info tree stats %d/%d/%d, want %d/%d/%d", mi.Nodes, mi.Leaves, mi.Depth,
+			m.Tree.NumNodes(), m.Tree.NumLeaves(), m.Tree.Depth())
 	}
 
 	post := func(body []byte) map[string]any {
@@ -251,9 +248,8 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 		return out
 	}
 
-	// Cache-missing single predict: the flight record carries the compact
-	// offset trail, no TrailSteps, and the site decoder expands it to the
-	// same class the response reported.
+	// Cache-missing single predict: the flight record carries the trail
+	// the tree walk took, ending at the class the response reported.
 	x := make([]float64, m.Schema.Len())
 	x[m.Schema.Index(features.NumIndices)] = 131072
 	body, _ := json.Marshal(map[string]any{"model": "policy", "x": x})
@@ -263,24 +259,25 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 		t.Fatalf("got %d flight records, want 1", len(recs))
 	}
 	rec := recs[0]
-	if rec.TrailLen != 0 || rec.OffsetsLen == 0 {
-		t.Fatalf("compiled miss recorded TrailLen=%d OffsetsLen=%d, want offsets only", rec.TrailLen, rec.OffsetsLen)
-	}
-	dec := srv.Flight().SiteDecoder(rec.Site)
-	if dec == nil || dec.Tree == nil {
-		t.Fatal("compiled site has no registered decoder")
-	}
 	var steps [flight.MaxTrail]dtree.TrailStep
-	n := dec.Tree.DecodeOffsets(rec.Offsets[:rec.OffsetsLen], dec.Src, rec.Features[:rec.NumFeatures], steps[:])
-	if n == 0 {
-		t.Fatal("offset trail decoded to zero steps")
+	wantClass, wantSteps := m.Tree.PredictTrail(x, steps[:])
+	if int(rec.TrailLen) != wantSteps || wantSteps == 0 {
+		t.Fatalf("miss recorded TrailLen=%d, want %d", rec.TrailLen, wantSteps)
+	}
+	for i := 0; i < wantSteps; i++ {
+		if rec.Trail[i] != steps[i] {
+			t.Errorf("trail step %d = %+v, want %+v", i, rec.Trail[i], steps[i])
+		}
+	}
+	if int(rec.Predicted) != wantClass {
+		t.Errorf("recorded prediction %d, want %d", rec.Predicted, wantClass)
 	}
 	if got := out["class"].(float64); got != float64(rec.Predicted) {
 		t.Errorf("response class %g != recorded prediction %d", got, rec.Predicted)
 	}
 
-	// Batch with fresh vectors: answered by the compiled batch walk and
-	// consistent with single-vector predictions.
+	// Batch with fresh vectors: walked as memo misses and consistent
+	// with single-vector predictions.
 	batch := make([][]float64, 6)
 	single := make([]float64, len(batch))
 	for i := range batch {
@@ -312,7 +309,7 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 		t.Errorf("apollo_predict_batched_total = %g, want %d", got, len(batch))
 	}
 
-	// The model listing carries the same compiled stats as publish.
+	// The model listing carries the same tree stats as publish.
 	resp, err = http.Get(ts.URL + "/models")
 	if err != nil {
 		t.Fatal(err)
@@ -322,11 +319,11 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 	}
 	err = json.NewDecoder(resp.Body).Decode(&list)
 	resp.Body.Close()
-	if err != nil || len(list.Models) != 1 || list.Models[0].Compiled == nil {
-		t.Fatalf("model listing lacks compiled stats: %+v (%v)", list.Models, err)
+	if err != nil || len(list.Models) != 1 {
+		t.Fatalf("model listing: %+v (%v)", list.Models, err)
 	}
-	if *list.Models[0].Compiled != *mi.Compiled {
-		t.Errorf("listing stats %+v != publish stats %+v", *list.Models[0].Compiled, *mi.Compiled)
+	if list.Models[0] != mi {
+		t.Errorf("listing %+v != publish info %+v", list.Models[0], mi)
 	}
 }
 

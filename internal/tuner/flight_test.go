@@ -1,9 +1,11 @@
 package tuner
 
 import (
+	"reflect"
 	"testing"
 
 	"apollo/internal/caliper"
+	"apollo/internal/core"
 	"apollo/internal/dtree"
 	"apollo/internal/features"
 	"apollo/internal/flight"
@@ -50,38 +52,23 @@ func TestTunerEndEmitsFlight(t *testing.T) {
 	if first.Explored {
 		t.Fatal("non-explored launch marked Explored")
 	}
-	// A single compiled model records the compact offset trail, not
-	// TrailSteps.
-	if first.TrailLen != 0 {
-		t.Fatalf("compiled site recorded %d TrailSteps, want compact offsets only", first.TrailLen)
-	}
-	if first.OffsetsLen == 0 {
-		t.Fatal("no compact offset trail captured")
-	}
 	ni := schema.Index(features.NumIndices)
 	if int(first.NumFeatures) <= ni || first.Features[ni] != 50 {
 		t.Fatalf("feature snapshot wrong: n=%d num_indices=%g", first.NumFeatures, first.Features[ni])
 	}
-	// Decoding the offsets against the site's registered decoder must
-	// reconstruct a trail that consults num_indices (the model's only
-	// informative feature) in source-schema indexing.
-	dec := fr.SiteDecoder(first.Site)
-	if dec == nil || dec.Tree == nil {
-		t.Fatal("compiled site did not register a trail decoder")
-	}
-	var steps [flight.MaxTrail]dtree.TrailStep
-	n := dec.Tree.DecodeOffsets(first.Offsets[:first.OffsetsLen], dec.Src, first.Features[:first.NumFeatures], steps[:])
-	if n == 0 {
-		t.Fatal("offset trail decoded to zero steps")
+	// The trail consults num_indices (the model's only informative
+	// feature) in source-schema indexing.
+	if first.TrailLen == 0 {
+		t.Fatal("no decision trail captured")
 	}
 	found := false
-	for _, st := range steps[:n] {
+	for _, st := range first.Trail[:first.TrailLen] {
 		if int(st.Feature) == ni && st.Value == 50 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("decoded trail does not consult num_indices: %+v", steps[:n])
+		t.Fatalf("trail does not consult num_indices: %+v", first.Trail[:first.TrailLen])
 	}
 	if first.ObservedNS != 500 || first.PredictedNS != 0 {
 		t.Fatalf("first record predicted/observed = %g/%g, want 0/500", first.PredictedNS, first.ObservedNS)
@@ -99,6 +86,71 @@ func TestTunerEndEmitsFlight(t *testing.T) {
 	}
 	if large3.FeatureNS < 0 || large3.ModelNS < 0 {
 		t.Fatalf("phase timings negative: feature=%g model=%g", large3.FeatureNS, large3.ModelNS)
+	}
+}
+
+// TestFlightPathsMatchOffsetEra pins the rendered decision paths of a
+// single-policy site. Until trails were always stored as TrailSteps,
+// such a site recorded node offsets that the capture decoded back into
+// paths; the expected lines below are what that decoder rendered for
+// these launches, including a value exactly on a threshold and
+// multi-segment list/range index sets.
+func TestFlightPathsMatchOffsetEra(t *testing.T) {
+	leaf := func(l int) *dtree.Node { return &dtree.Node{Feature: -1, Label: l} }
+	split := func(f int, th float64, l, r *dtree.Node) *dtree.Node {
+		return &dtree.Node{Feature: f, Threshold: th, Left: l, Right: r}
+	}
+	// Model schema: 0 num_indices, 1 num_segments, 2 index_type.
+	root := split(0, 1000,
+		split(2, 0.5, leaf(0), split(1, 1.5, leaf(1), leaf(0))),
+		split(0, 50000, split(1, 1, leaf(1), leaf(0)), leaf(1)))
+	model := &core.Model{
+		Param:  core.ExecutionPolicy,
+		Schema: features.NewSchema(features.NumIndices, features.NumSegments, features.IndexType),
+		Tree:   &dtree.Tree{Root: root, NumFeatures: 3, NumClasses: 2},
+	}
+	list := make([]int, 300)
+	for i := range list {
+		list[i] = 3 * i
+	}
+	launches := []*raja.IndexSet{
+		raja.NewRange(0, 50),
+		raja.NewRange(0, 1000),
+		raja.NewRange(0, 1001),
+		raja.NewRange(0, 100000),
+		raja.NewList(list),
+		raja.NewIndexSet(raja.ListSegment{Indices: list}, raja.RangeSegment{Begin: 0, End: 400}),
+		raja.NewIndexSet(raja.RangeSegment{Begin: 0, End: 20000}, raja.RangeSegment{Begin: 0, End: 20000}),
+	}
+	want := []struct {
+		predicted int
+		path      []string
+	}{
+		{0, []string{"num_indices (=50) <= 1000 → left", "index_type (=0) <= 0.5 → left"}},
+		{0, []string{"num_indices (=1000) <= 1000 → left", "index_type (=0) <= 0.5 → left"}},
+		{1, []string{"num_indices (=1001) > 1000 → right", "num_indices (=1001) <= 50000 → left", "num_segments (=1) <= 1 → left"}},
+		{1, []string{"num_indices (=100000) > 1000 → right", "num_indices (=100000) > 50000 → right"}},
+		{1, []string{"num_indices (=300) <= 1000 → left", "index_type (=1) > 0.5 → right", "num_segments (=1) <= 1.5 → left"}},
+		{0, []string{"num_indices (=700) <= 1000 → left", "index_type (=2) > 0.5 → right", "num_segments (=2) > 1.5 → right"}},
+		{0, []string{"num_indices (=40000) > 1000 → right", "num_indices (=40000) <= 50000 → left", "num_segments (=2) > 1 → right"}},
+	}
+
+	schema := features.TableI()
+	fr := newFlightRecorder(schema)
+	tn := NewTuner(schema, caliper.New(), raja.Params{}).UsePolicyModel(model).UseFlight(fr)
+	k := raja.NewKernel("parity", nil)
+	for _, iset := range launches {
+		p, _ := tn.Begin(k, iset)
+		tn.End(k, iset, p, 100)
+	}
+	c := fr.Capture()
+	if len(c.Records) != len(want) {
+		t.Fatalf("got %d records, want %d", len(c.Records), len(want))
+	}
+	for i, r := range c.Records {
+		if r.Predicted != want[i].predicted || !reflect.DeepEqual(r.Path, want[i].path) {
+			t.Errorf("launch %d: predicted %d path %q, want %d %q", i, r.Predicted, r.Path, want[i].predicted, want[i].path)
+		}
 	}
 }
 

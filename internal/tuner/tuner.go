@@ -305,11 +305,8 @@ func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedN
 // mid-launch or the launch was an exploration flip — both of which
 // surface as Explored. It allocates nothing.
 //
-// Sites running a single compiled model record the compact offset trail
-// (Record.Offsets, 4 bytes per step) against the site's registered
-// TrailDecoder instead of full TrailSteps; sites running both a policy
-// and a chunk model keep the concatenated TrailStep form, since one
-// offset trail cannot span two layouts.
+// The trail is the policy model's, then the chunk model's,
+// concatenated into one Record.Trail.
 //
 //apollo:hotpath
 func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
@@ -330,33 +327,20 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 	chosen := t.base
 	trailLen := 0
 	if ps := t.src.Load().s.Projectors(); ps != nil {
-		if ps.Policy != nil && ps.Chunk == nil && ps.Policy.Compiled() != nil {
-			// Single compiled model: compact offset trail. The decoder
-			// pointer doubles as the model-swap detector — one lock-free
-			// load compares the compiled tree identity per launch.
-			if d := fr.SiteDecoder(k.ID); d == nil || d.Tree != ps.Policy.Compiled() {
-				registerDecoder(fr, k.ID, ps.Policy)
-			}
-			class, n := ps.Policy.PredictOffsets(x, rec.Offsets[:])
-			rec.OffsetsLen = int32(n)
+		if ps.Policy != nil {
+			class, steps := ps.Policy.PredictTrail(x, rec.Trail[:])
+			trailLen = steps
 			predicted = int32(class)
 			chosen.Policy = raja.Policy(class)
-		} else {
-			if ps.Policy != nil {
-				class, steps := ps.Policy.PredictTrail(x, rec.Trail[:])
-				trailLen = steps
+		}
+		if ps.Chunk != nil {
+			class, steps := ps.Chunk.PredictTrail(x, rec.Trail[trailLen:])
+			trailLen += steps
+			if predicted < 0 {
 				predicted = int32(class)
-				chosen.Policy = raja.Policy(class)
 			}
-			if ps.Chunk != nil {
-				class, steps := ps.Chunk.PredictTrail(x, rec.Trail[trailLen:])
-				trailLen += steps
-				if predicted < 0 {
-					predicted = int32(class)
-				}
-				if class >= 0 && class < len(raja.ChunkSizes) {
-					chosen.Chunk = raja.ChunkSizes[class]
-				}
+			if class >= 0 && class < len(raja.ChunkSizes) {
+				chosen.Chunk = raja.ChunkSizes[class]
 			}
 		}
 	}
@@ -373,16 +357,6 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 	rec.FeatureNS = float64(t1 - t0)
 	rec.ModelNS = float64(t2 - t1)
 	fr.Commit(tok)
-}
-
-// registerDecoder publishes the flight-trail decoder for a site's
-// current compiled policy model. It allocates, so it lives off the hot
-// path behind emitFlight's pointer-identity check: once per model swap,
-// never per launch.
-//
-//apollo:coldpath decoder registration runs once per site model swap
-func registerDecoder(fr *flight.Recorder, id uint64, p *core.Projector) {
-	fr.SetSiteDecoder(id, &flight.TrailDecoder{Tree: p.Compiled(), Src: p.SourceIndex()})
 }
 
 // UseTelemetry attaches (or, with nil, detaches) a telemetry recorder;

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Smoke-test the compiled decision path end to end against a real
-# daemon: record training data, start apollo-serve, train-and-push a
-# model (the registry compiles it at publish), then run apollo-inspect
-# models -verify, which differentially checks the compiled walk against
-# the interpreted tree on boundary and random vectors AND against the
-# live /predict endpoint (single and batch). Exits non-zero on any
-# disagreement.
+# Smoke-test the decision path end to end against a real daemon: record
+# training data, start apollo-serve, train-and-push a model (the
+# registry validates its tree at publish), then run apollo-inspect
+# models -verify, which checks the local tree walk against the live
+# /predict endpoint (single and batch) on boundary and random vectors.
+# Exits non-zero on any disagreement.
 set -euo pipefail
 
 GO="${GO:-go}"
@@ -55,23 +54,23 @@ done
 [[ -n "$BASE" ]] || { cat "$WORK/serve.log"; echo "FAIL: never saw listen line"; exit 1; }
 echo "   daemon at $BASE"
 
-echo "== train and push (publish-time compile happens in the registry)"
+echo "== train and push (the registry validates the tree at publish)"
 "$WORK/bin/apollo-train" -data "$WORK/seq.csv,$WORK/omp.csv" -cv 0 \
     -out "$WORK/model.json" -push "$BASE" -push-name smoke/policy | tail -n1
 
-echo "== model listing exposes compilation stats"
-fetch "$BASE/models" | grep -q '"kind"'
-fetch "$BASE/models" | grep -q '"flat_bytes"'
+echo "== model listing exposes tree stats"
+fetch "$BASE/models" | grep -q '"nodes"'
+fetch "$BASE/models" | grep -q '"depth"'
 
-echo "== compiled report + differential verification (local and live)"
+echo "== model report + local walk against live /predict"
 OUT="$("$WORK/bin/apollo-inspect" models -url "$BASE" -verify)"
 echo "$OUT"
 echo "$OUT" | grep -q 'smoke/policy'
-echo "$OUT" | grep -q 'compiled == interpreted'
+echo "$OUT" | grep -q 'local walk == live /predict'
 
 echo "== registry-directory report agrees"
 DIROUT="$("$WORK/bin/apollo-inspect" models -dir "$WORK/registry" -verify)"
-echo "$DIROUT" | grep -q 'compiled == interpreted'
+echo "$DIROUT" | grep -q 'tree valid'
 
 echo "== shutdown"
 kill "$SERVE_PID"
