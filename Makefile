@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build lint test race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke vet-bench vet-diff
+.PHONY: all build lint test race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke fuzz-smoke vet-bench vet-diff
 
-all: build lint vet-diff test race flight-smoke fleet-smoke compile-smoke lineage-smoke
+all: build lint vet-diff test race fuzz-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every Fuzz* target in the module (model decode, spool cursor, loop
+# journal reader) for a fixed 10 s each.
+fuzz-smoke:
+	GO="$(GO)" FUZZTIME=10s ./scripts/fuzz_smoke.sh
 
 # Scheduler stress: the closed-loop e2e scenario repeated under the
 # race detector across a GOMAXPROCS sweep, multiplying the goroutine

@@ -37,19 +37,26 @@ func runLoopCmd(args []string) error {
 		return fmt.Errorf("set at least one of -dir, -in, or -url")
 	}
 	var events []looptrace.EventJSON
+	corrupt := 0
 	for _, d := range splitList(*dir) {
-		evs, err := looptrace.ReadJournalDir(d)
+		evs, n, err := looptrace.ReadJournalDir(d)
 		if err != nil {
 			return err
 		}
 		events = append(events, evs...)
+		corrupt += n
 	}
 	for _, path := range splitList(*in) {
-		evs, err := looptrace.ReadJournal(path)
+		evs, n, err := looptrace.ReadJournal(path)
 		if err != nil {
 			return err
 		}
 		events = append(events, evs...)
+		corrupt += n
+	}
+	if corrupt > 0 {
+		// stderr, so -json output stays one parseable document.
+		fmt.Fprintf(os.Stderr, "apollo-inspect loop: skipped %d corrupt journal line(s)\n", corrupt)
 	}
 	for _, u := range splitList(*url) {
 		data, err := readInput("", u, *timeout)

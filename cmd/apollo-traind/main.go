@@ -139,6 +139,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 
 	collective := collectiveEnabled(cfg)
 	var cur trainer.Cursor
+	var corrupt func() uint64 // spool lines the cursor skipped
 	var merged *fleet.MergedCursor
 	if collective && cfg.spools != "" {
 		roots, err := fleet.ParsePeers(cfg.spools)
@@ -153,10 +154,11 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		if err != nil {
 			return err
 		}
-		cur = merged
+		cur, corrupt = merged, merged.Corrupt
 		fmt.Printf("apollo-traind: collective training over %d spools\n", len(sources))
 	} else {
-		cur = telemetry.NewCursor(filepath.Join(cfg.spool, filepath.FromSlash(model)))
+		c := telemetry.NewCursor(filepath.Join(cfg.spool, filepath.FromSlash(model)))
+		cur, corrupt = c, c.Corrupt
 	}
 
 	var incumbents []trainer.Publisher
@@ -288,6 +290,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		gauge("apollo_trainer_publishes_total", "Challengers published.", int64(tr.Publishes()))
 		gauge("apollo_trainer_rejects_total", "Challengers rejected by the holdout duel.", int64(tr.Rejects()))
 		gauge("apollo_trainer_incumbent_vetoes_total", "Publishes blocked by a fleet incumbent.", int64(tr.Vetoes()))
+		gauge("apollo_spool_corrupt_records_total", "Spool lines skipped because they were not a row of the spool's width.", int64(corrupt()))
 		const stageHelp = "Closed-loop stage durations, by stage."
 		met.ObserveLabeled("apollo_loop_stage_seconds", "stage", "step", stageHelp, stepNS/1e9)
 		if res.Retrained {

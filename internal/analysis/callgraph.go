@@ -126,7 +126,10 @@ func (g *graph) resolve(pkg *Package, bindings map[types.Object]*types.Func, cal
 }
 
 // calleesOf maps a statically known function object to its callee form.
+// A method of an instantiated generic type is a distinct object from
+// the declaration g.funcs is keyed by; Origin maps it back.
 func (g *graph) calleesOf(obj *types.Func) ([]callee, *types.Func) {
+	obj = obj.Origin()
 	if fi, ok := g.funcs[obj]; ok {
 		return []callee{{fn: fi}}, nil
 	}

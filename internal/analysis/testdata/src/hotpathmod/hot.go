@@ -134,3 +134,25 @@ func Clean(x []float64) float64 {
 	_ = mustBeQuiet()
 	return sum
 }
+
+// Generic methods and functions: a call through an instantiated type
+// or function resolves to its origin declaration, so the analyzer
+// follows it like any other module callee.
+
+type box[T any] struct{ v T }
+
+func (b *box[T]) put(v T) {
+	_ = time.Now() // want `calls time\.Now on the hot path`
+	b.v = v
+}
+
+func stamp[T any](v T) T {
+	_ = time.Now() // want `calls time\.Now on the hot path`
+	return v
+}
+
+//apollo:hotpath
+func GenericMethod(b *box[int]) { b.put(1) }
+
+//apollo:hotpath
+func GenericFunc() int { return stamp(2) }

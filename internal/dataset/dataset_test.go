@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -259,5 +261,58 @@ func TestJSONLRejectsBadInput(t *testing.T) {
 	}
 	if _, err := ReadJSONL(bytes.NewBufferString("")); err == nil {
 		t.Error("empty input accepted")
+	}
+}
+
+func TestTailLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tail.jsonl")
+	var lines []string
+	var starts []int64
+	collect := func(at int64, line []byte) error {
+		starts = append(starts, at)
+		lines = append(lines, string(line))
+		return nil
+	}
+	write := func(data string) {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A torn tail is left for the next call.
+	write("ab\ncd\nef")
+	end, err := TailLines(path, 0, collect)
+	if err != nil || end != 6 || !reflect.DeepEqual(lines, []string{"ab", "cd"}) || !reflect.DeepEqual(starts, []int64{0, 3}) {
+		t.Fatalf("first read: end %d, lines %q at %v, %v", end, lines, starts, err)
+	}
+	write("ab\ncd\nef\ngh\n")
+	lines, starts = nil, nil
+	end, err = TailLines(path, end, collect)
+	if err != nil || end != 12 || !reflect.DeepEqual(lines, []string{"ef", "gh"}) || starts[0] != 6 {
+		t.Fatalf("resumed read: end %d, lines %q at %v, %v", end, lines, starts, err)
+	}
+
+	// An error from fn stops at the failing line's start.
+	stop := errors.New("stop")
+	end, err = TailLines(path, 0, func(at int64, line []byte) error {
+		if string(line) == "cd" {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || end != 3 {
+		t.Fatalf("stopped read: end %d, %v; want 3, stop", end, err)
+	}
+
+	// A file shorter than the offset was truncated: start over.
+	write("xy\n")
+	lines, starts = nil, nil
+	end, err = TailLines(path, 12, collect)
+	if err != nil || end != 3 || !reflect.DeepEqual(lines, []string{"xy"}) || starts[0] != 0 {
+		t.Fatalf("truncated read: end %d, lines %q at %v, %v", end, lines, starts, err)
+	}
+
+	if _, err := TailLines(filepath.Join(t.TempDir(), "missing"), 0, collect); !os.IsNotExist(err) {
+		t.Fatalf("missing file: %v, want a not-exist error", err)
 	}
 }

@@ -2,19 +2,31 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 )
 
-// jsonHeader is the first line of the JSONL frame format.
-type jsonHeader struct {
+// FrameFormatID identifies the JSONL frame format.
+const FrameFormatID = "apollo-frame-v1"
+
+// FrameHeader is the first line of the JSONL frame format. Telemetry
+// spool segments start with the same line, so a segment is an ordinary
+// training-data file.
+type FrameHeader struct {
 	Format  string   `json:"format"`
 	Columns []string `json:"columns"`
 }
 
-const frameFormatID = "apollo-frame-v1"
+// Check reports whether the header names the JSONL frame format.
+func (h *FrameHeader) Check() error {
+	if h.Format != FrameFormatID {
+		return fmt.Errorf("dataset: unknown frame format %q (want %q)", h.Format, FrameFormatID)
+	}
+	return nil
+}
 
 // WriteJSONL writes the frame in a line-delimited JSON format: a header
 // object with the column names, then one array of values per row. The
@@ -23,7 +35,7 @@ const frameFormatID = "apollo-frame-v1"
 func (f *Frame) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonHeader{Format: frameFormatID, Columns: f.cols}); err != nil {
+	if err := enc.Encode(FrameHeader{Format: FrameFormatID, Columns: f.cols}); err != nil {
 		return err
 	}
 	for _, row := range f.rows {
@@ -37,12 +49,12 @@ func (f *Frame) WriteJSONL(w io.Writer) error {
 // ReadJSONL reads a frame written by WriteJSONL.
 func ReadJSONL(r io.Reader) (*Frame, error) {
 	dec := json.NewDecoder(r)
-	var hdr jsonHeader
+	var hdr FrameHeader
 	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("dataset: reading JSONL header: %w", err)
 	}
-	if hdr.Format != frameFormatID {
-		return nil, fmt.Errorf("dataset: unknown frame format %q (want %q)", hdr.Format, frameFormatID)
+	if err := hdr.Check(); err != nil {
+		return nil, err
 	}
 	f := NewFrame(hdr.Columns...)
 	for line := 2; ; line++ {
@@ -81,4 +93,44 @@ func LoadJSONL(path string) (*Frame, error) {
 	}
 	defer file.Close()
 	return ReadJSONL(file)
+}
+
+// TailLines is the reader of append-only JSONL files that other
+// processes write (spool segments, loop journals). It calls fn on each
+// '\n'-terminated line of path from byte offset off, passing the line's
+// start offset and its bytes without the newline (valid only during the
+// call), and returns the offset just past the last line fn accepted. A
+// torn final line is left for the next call; an error from fn stops the
+// read at that line; an offset past the end of a truncated file
+// restarts at 0.
+func TailLines(path string, off int64, fn func(at int64, line []byte) error) (int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return off, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return off, err
+	}
+	if off > st.Size() {
+		off = 0
+	}
+	buf := make([]byte, st.Size()-off)
+	n, err := f.ReadAt(buf, off)
+	if err != nil && err != io.EOF {
+		return off, err
+	}
+	buf = buf[:n]
+	for {
+		nl := bytes.IndexByte(buf, '\n')
+		if nl < 0 {
+			return off, nil
+		}
+		if err := fn(off, buf[:nl]); err != nil {
+			return off, err
+		}
+		off += int64(nl + 1)
+		buf = buf[nl+1:]
+	}
 }

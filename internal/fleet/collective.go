@@ -137,6 +137,16 @@ func (m *MergedCursor) MergeLag(now time.Time) map[string]time.Duration {
 	return out
 }
 
+// Corrupt returns the spool lines skipped as corrupt, summed over the
+// sources.
+func (m *MergedCursor) Corrupt() uint64 {
+	var n uint64
+	for _, cur := range m.cursors {
+		n += cur.Corrupt()
+	}
+	return n
+}
+
 // ExportMetrics refreshes the collective-merge gauges on met.
 func (m *MergedCursor) ExportMetrics(met *metrics.Metrics) {
 	m.mu.Lock()

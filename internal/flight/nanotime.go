@@ -1,24 +1,18 @@
 package flight
 
-import (
-	_ "unsafe" // for go:linkname
-)
+import _ "unsafe" // for go:linkname
 
-// nanotime is the runtime's monotonic clock. The flight recorder stamps
-// and phase-times every decision on the launch hot path, where the
-// apollo-vet hotpath contract (correctly) bans time.Now: it allocates
-// nothing but reads the wall clock and carries a time.Time through the
-// stack. runtime.nanotime is the raw vDSO monotonic read underneath it —
-// a few nanoseconds, no allocation, no lock — which is exactly the
-// always-on budget this package promises.
+// nanotime is the runtime's monotonic clock, the module's only one: the
+// flight recorder phase-times every decision and looptrace stamps every
+// loop event with it, on hot paths where apollo-vet bans time.Now.
+// It is the raw vDSO read under time.Now, with no allocation or lock.
 //
 //go:linkname nanotime runtime.nanotime
 func nanotime() int64
 
-// Now returns the current monotonic time in nanoseconds. The zero point
-// is arbitrary (process start); only differences are meaningful, which
-// is all the flight recorder needs for phase timings and relative
-// timelines. Callers on //apollo:hotpath functions may use it freely.
+// Now returns the monotonic time in nanoseconds from an arbitrary zero
+// (process start): only differences are meaningful. Callers on
+// //apollo:hotpath functions may use it freely.
 //
 //apollo:hotpath
 func Now() int64 { return nanotime() }

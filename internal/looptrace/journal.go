@@ -20,6 +20,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"apollo/internal/dataset"
 )
 
 // JournalFormatID identifies the loop-journal JSONL format (also used
@@ -72,18 +74,13 @@ func (e *Event) toJSON(actor string) EventJSON {
 
 // journalWriter buffers JSONL appends to one journal file.
 type journalWriter struct {
-	f  *os.File
-	bw *bufio.Writer
+	f   *os.File
+	bw  *bufio.Writer
+	enc *json.Encoder // over bw; Encode ends each line with '\n'
 }
 
 func (j *journalWriter) append(actor string, ev *Event) error {
-	line, err := json.Marshal(ev.toJSON(actor))
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	_, err = j.bw.Write(line)
-	return err
+	return j.enc.Encode(ev.toJSON(actor))
 }
 
 func (j *journalWriter) flush() error { return j.bw.Flush() }
@@ -113,19 +110,15 @@ func (t *Tracer) OpenJournal(dir string) error {
 	if err != nil {
 		return err
 	}
-	hdr, err := json.Marshal(journalHeader{Format: JournalFormatID, Actor: t.actor, OpenNS: time.Now().UnixNano()})
-	if err != nil {
-		f.Close() //apollo:errok Close on the error path; the marshal error is already being returned
-		return err
-	}
-	hdr = append(hdr, '\n')
-	if _, err := f.Write(hdr); err != nil {
+	hdr := journalHeader{Format: JournalFormatID, Actor: t.actor, OpenNS: time.Now().UnixNano()}
+	if err := json.NewEncoder(f).Encode(hdr); err != nil {
 		f.Close() //apollo:errok Close on the error path; the write error is already being returned
 		return err
 	}
+	bw := bufio.NewWriter(f)
 	t.mu.Lock()
 	old := t.journal
-	t.journal = &journalWriter{f: f, bw: bufio.NewWriter(f)}
+	t.journal = &journalWriter{f: f, bw: bw, enc: json.NewEncoder(bw)}
 	t.mu.Unlock()
 	if old != nil { // swapped out under the lock; only this goroutine holds it now
 		old.flush()   //apollo:errok replacing a journal mid-run is a test/tooling move; the old file's tail is best-effort
@@ -142,7 +135,7 @@ func (t *Tracer) Flush() error {
 	return t.drainLocked()
 }
 
-// Close flushes and detaches the journal. The tracer stays usable
+// Close flushes, syncs and detaches the journal. The tracer stays usable
 // (Emit, Snapshot); only durability stops.
 //
 //apollo:lockok t.mu serializes the cold consumer side (journal flush, debug capture); never on an emit path
@@ -151,6 +144,9 @@ func (t *Tracer) Close() error {
 	defer t.mu.Unlock()
 	err := t.drainLocked()
 	if t.journal != nil {
+		if serr := t.journal.f.Sync(); err == nil {
+			err = serr
+		}
 		if cerr := t.journal.f.Close(); err == nil {
 			err = cerr
 		}
@@ -196,69 +192,62 @@ func NewLoopID(model string, parent int, wallNS int64) string {
 
 // ReadJournal parses one journal file, tolerating a torn final line and
 // interleaved header lines from restarts. Events missing an actor field
-// inherit the most recent header's actor.
-func ReadJournal(path string) ([]EventJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var events []EventJSON
+// inherit the most recent header's actor. A complete line that is not
+// valid JSON, or not an event with a kind, is skipped and counted in
+// corrupt, so one damaged line costs one event, not the journal; a
+// header naming another format is an error.
+func ReadJournal(path string) (events []EventJSON, corrupt int, err error) {
 	actor := ""
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			break // torn tail: the writer is mid-append
-		}
-		line := data[:nl]
-		data = data[nl+1:]
+	_, err = dataset.TailLines(path, 0, func(_ int64, line []byte) error {
 		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+			return nil
 		}
-		var probe struct {
+		// A header line and an event line share the actor field, so one
+		// decode reads either.
+		var rec struct {
 			Format string `json:"format"`
-			Kind   string `json:"kind"`
+			EventJSON
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("looptrace: %s: bad line: %w", path, err)
-		}
-		if probe.Format != "" {
-			var hdr journalHeader
-			if err := json.Unmarshal(line, &hdr); err != nil {
-				return nil, fmt.Errorf("looptrace: %s: bad header: %w", path, err)
+		switch {
+		case json.Unmarshal(line, &rec) != nil:
+			corrupt++
+		case rec.Format != "":
+			if rec.Format != JournalFormatID {
+				return fmt.Errorf("looptrace: %s has format %q, want %q", path, rec.Format, JournalFormatID)
 			}
-			if hdr.Format != JournalFormatID {
-				return nil, fmt.Errorf("looptrace: %s has format %q, want %q", path, hdr.Format, JournalFormatID)
+			actor = rec.Actor
+		case rec.Kind == "":
+			corrupt++
+		default:
+			if rec.Actor == "" {
+				rec.Actor = actor
 			}
-			actor = hdr.Actor
-			continue
+			events = append(events, rec.EventJSON)
 		}
-		var ev EventJSON
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("looptrace: %s: bad event: %w", path, err)
-		}
-		if ev.Actor == "" {
-			ev.Actor = actor
-		}
-		events = append(events, ev)
+		return nil
+	})
+	if err != nil {
+		return nil, corrupt, err
 	}
-	return events, nil
+	return events, corrupt, nil
 }
 
 // ReadJournalDir parses every loop-*.jsonl journal under dir and
-// returns the union of their events (unsorted; Stitch orders them).
-func ReadJournalDir(dir string) ([]EventJSON, error) {
+// returns the union of their events (unsorted; Stitch orders them) and
+// the count of corrupt lines skipped across them.
+func ReadJournalDir(dir string) (events []EventJSON, corrupt int, err error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "loop-*.jsonl"))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sort.Strings(paths)
-	var all []EventJSON
 	for _, p := range paths {
-		events, err := ReadJournal(p)
+		evs, n, err := ReadJournal(p)
 		if err != nil {
-			return nil, err
+			return nil, corrupt, err
 		}
-		all = append(all, events...)
+		events = append(events, evs...)
+		corrupt += n
 	}
-	return all, nil
+	return events, corrupt, nil
 }

@@ -148,9 +148,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	if filepath.Base(path) != "loop-serve-r1.jsonl" {
 		t.Errorf("journal path %q", path)
 	}
-	events, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
+	events, corrupt, err := ReadJournal(path)
+	if err != nil || corrupt != 0 {
+		t.Fatalf("ReadJournal: corrupt %d, err %v", corrupt, err)
 	}
 	if len(events) != 2 {
 		t.Fatalf("read %d events, want 2", len(events))
@@ -162,7 +162,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Errorf("event 1: %+v", events[1])
 	}
 
-	all, err := ReadJournalDir(dir)
+	all, _, err := ReadJournalDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestStartFlushes(t *testing.T) {
 	tr.Emit(KindDriftFired, "m", "L1", Fields{A: 0.5, Rows: 100})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		events, err := ReadJournal(JournalPath(dir, "traind"))
+		events, _, err := ReadJournal(JournalPath(dir, "traind"))
 		if err == nil && len(events) == 1 {
 			break
 		}

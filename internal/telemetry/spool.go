@@ -7,9 +7,10 @@
 // active one exceeds the size cap — rotation switches files atomically
 // under the spool lock and never renames, so a concurrently tailing
 // reader can keep its per-segment byte offsets. The reader (Cursor)
-// consumes only '\n'-terminated lines, which makes it safe to tail the
-// active segment of a live writer in another process: a torn final line
-// is simply left for the next poll.
+// tails each segment with dataset.TailLines, which consumes only
+// '\n'-terminated lines past the cursor's stored offset, so it is safe
+// to follow the active segment of a live writer in another process: a
+// torn final line is simply left for the next poll.
 
 package telemetry
 
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,15 +37,6 @@ const (
 	segPrefix = "seg-"
 	segSuffix = ".jsonl"
 )
-
-// spoolHeader is the first line of every segment — the dataset JSONL
-// frame header, so segments double as ordinary training-data files.
-type spoolHeader struct {
-	Format  string   `json:"format"`
-	Columns []string `json:"columns"`
-}
-
-const spoolFrameFormatID = "apollo-frame-v1"
 
 // Spool appends telemetry rows durably under one directory.
 type Spool struct {
@@ -77,7 +70,7 @@ func OpenSpool(dir string, maxSegmentBytes int64) (*Spool, error) {
 	}
 	if len(segs) > 0 {
 		s.seq = segs[len(segs)-1]
-		cols, err := readSegmentColumns(s.segmentPath(segs[0]))
+		cols, err := readSegmentColumns(segmentPath(dir, segs[0]))
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: reading spool %s: %w", dir, err)
 		}
@@ -120,7 +113,7 @@ func (s *Spool) Append(columns []string, rows [][]float64) error {
 	defer s.mu.Unlock()
 	if s.columns == nil {
 		s.columns = append([]string(nil), columns...)
-	} else if !equalColumns(s.columns, columns) {
+	} else if !slices.Equal(s.columns, columns) {
 		return fmt.Errorf("telemetry: spool %s expects columns %v, got %v", s.dir, s.columns, columns)
 	}
 	if len(rows) == 0 {
@@ -166,8 +159,13 @@ func (s *Spool) Rotate() error {
 // Close seals the active segment.
 func (s *Spool) Close() error { return s.Rotate() }
 
+// rotateLocked syncs and closes the active segment, so a sealed
+// segment survives a machine crash, not only a process exit.
 func (s *Spool) rotateLocked() error {
-	err := s.f.Close()
+	err := s.f.Sync()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
 	s.f, s.size = nil, 0
 	return err
 }
@@ -175,11 +173,11 @@ func (s *Spool) rotateLocked() error {
 // openSegmentLocked starts the next segment and writes its header line.
 func (s *Spool) openSegmentLocked() error {
 	s.seq++
-	f, err := os.OpenFile(s.segmentPath(s.seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(segmentPath(s.dir, s.seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	hdr, err := json.Marshal(spoolHeader{Format: spoolFrameFormatID, Columns: s.columns})
+	hdr, err := json.Marshal(dataset.FrameHeader{Format: dataset.FrameFormatID, Columns: s.columns})
 	if err != nil {
 		f.Close() //apollo:errok Close on the error path; the write error is already being returned
 		return err
@@ -194,8 +192,8 @@ func (s *Spool) openSegmentLocked() error {
 	return nil
 }
 
-func (s *Spool) segmentPath(seq int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
+func segmentPath(dir string, seq int) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
 }
 
 // listSegments returns the segment numbers present in dir, ascending.
@@ -233,12 +231,12 @@ func readSegmentColumns(path string) ([]string, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var hdr spoolHeader
+	var hdr dataset.FrameHeader
 	if err := json.NewDecoder(f).Decode(&hdr); err != nil {
 		return nil, err
 	}
-	if hdr.Format != spoolFrameFormatID {
-		return nil, fmt.Errorf("telemetry: segment %s has format %q, want %q", path, hdr.Format, spoolFrameFormatID)
+	if err := hdr.Check(); err != nil {
+		return nil, err
 	}
 	return hdr.Columns, nil
 }
@@ -247,13 +245,16 @@ func readSegmentColumns(path string) ([]string, error) {
 // returned before. It tracks a byte offset per segment, consumes only
 // complete lines, and tolerates a partially written final line (left for
 // the next poll), so it can follow a spool that another process is
-// actively appending to.
+// actively appending to. A complete line that is not a row of the
+// spool's width is skipped and counted (Corrupt), so one damaged line
+// neither stalls the trainer nor costs the rows around it.
 type Cursor struct {
 	dir string
 
 	mu      sync.Mutex //apollo:lockrank 41
 	offsets map[int]int64
 	columns []string
+	corrupt uint64
 }
 
 // NewCursor returns a cursor over the spool at dir, positioned at the
@@ -262,17 +263,19 @@ func NewCursor(dir string) *Cursor {
 	return &Cursor{dir: dir, offsets: map[int]int64{}}
 }
 
-// Columns returns the spool layout seen so far (nil before any rows).
-func (c *Cursor) Columns() []string {
+// Corrupt returns how many complete lines the cursor skipped because
+// they were not a row of the spool's width.
+func (c *Cursor) Corrupt() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]string(nil), c.columns...)
+	return c.corrupt
 }
 
 // Poll reads every complete row appended since the previous Poll,
 // returning nil when there is nothing new. A spool directory that does
 // not exist yet reads as empty, so a trainer may start before the first
-// batch arrives.
+// batch arrives. A Poll that fails (a bad segment header, a segment
+// with different columns) returns no rows and advances no offset.
 //
 //apollo:lockok c.mu exists to serialize the cursor's segment reads and offset bookkeeping
 func (c *Cursor) Poll() (*dataset.Frame, error) {
@@ -283,82 +286,50 @@ func (c *Cursor) Poll() (*dataset.Frame, error) {
 		return nil, err
 	}
 	var frame *dataset.Frame
+	columns := c.columns
+	corrupt := uint64(0)
+	ends := make(map[int]int64, len(segs))
 	for _, seq := range segs {
-		path := filepath.Join(c.dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
-		if err := c.pollSegmentLocked(path, seq, &frame); err != nil {
+		path := segmentPath(c.dir, seq)
+		end, err := dataset.TailLines(path, c.offsets[seq], func(at int64, line []byte) error {
+			if at == 0 {
+				var hdr dataset.FrameHeader
+				if err := json.Unmarshal(line, &hdr); err != nil {
+					return fmt.Errorf("bad header: %w", err)
+				}
+				if err := hdr.Check(); err != nil {
+					return err
+				}
+				if columns == nil {
+					columns = hdr.Columns
+				} else if !slices.Equal(columns, hdr.Columns) {
+					return fmt.Errorf("columns changed: %v -> %v", columns, hdr.Columns)
+				}
+				return nil
+			}
+			var row []float64
+			if err := json.Unmarshal(line, &row); err != nil || len(row) != len(columns) {
+				corrupt++
+				return nil
+			}
+			if frame == nil {
+				frame = dataset.NewFrame(columns...)
+			}
+			frame.AddRow(row)
+			return nil
+		})
+		if os.IsNotExist(err) {
+			continue // raced a writer listing; next poll sees it
+		}
+		if err != nil {
 			return nil, fmt.Errorf("telemetry: tailing %s: %w", path, err)
 		}
+		ends[seq] = end
 	}
+	for seq, end := range ends {
+		c.offsets[seq] = end
+	}
+	c.columns = columns
+	c.corrupt += corrupt
 	return frame, nil
-}
-
-func (c *Cursor) pollSegmentLocked(path string, seq int, frame **dataset.Frame) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // raced a writer listing; next poll sees it
-		}
-		return err
-	}
-	offset := c.offsets[seq]
-	if offset > int64(len(data)) {
-		// The segment shrank (operator intervention); restart it.
-		offset = 0
-	}
-	buf := data[offset:]
-	// Consume only complete lines; a torn tail waits for the next poll.
-	end := bytes.LastIndexByte(buf, '\n')
-	if end < 0 {
-		return nil
-	}
-	buf = buf[:end+1]
-	consumed := int64(0)
-	for len(buf) > 0 {
-		nl := bytes.IndexByte(buf, '\n')
-		line := buf[:nl]
-		buf = buf[nl+1:]
-		lineLen := int64(nl + 1)
-		if offset+consumed == 0 {
-			var hdr spoolHeader
-			if err := json.Unmarshal(line, &hdr); err != nil {
-				return fmt.Errorf("bad header: %w", err)
-			}
-			if hdr.Format != spoolFrameFormatID {
-				return fmt.Errorf("format %q, want %q", hdr.Format, spoolFrameFormatID)
-			}
-			if c.columns == nil {
-				c.columns = append([]string(nil), hdr.Columns...)
-			} else if !equalColumns(c.columns, hdr.Columns) {
-				return fmt.Errorf("columns changed: %v -> %v", c.columns, hdr.Columns)
-			}
-			consumed += lineLen
-			continue
-		}
-		var row []float64
-		if err := json.Unmarshal(line, &row); err != nil {
-			return fmt.Errorf("bad row: %w", err)
-		}
-		if len(row) != len(c.columns) {
-			return fmt.Errorf("row has %d values, want %d", len(row), len(c.columns))
-		}
-		if *frame == nil {
-			*frame = dataset.NewFrame(c.columns...)
-		}
-		(*frame).AddRow(row)
-		consumed += lineLen
-	}
-	c.offsets[seq] = offset + consumed
-	return nil
-}
-
-func equalColumns(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

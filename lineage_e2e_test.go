@@ -205,9 +205,12 @@ func TestClosedLoopLineageChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	events, err := looptrace.ReadJournalDir(journalDir)
+	events, corrupt, err := looptrace.ReadJournalDir(journalDir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if corrupt != 0 {
+		t.Errorf("journals hold %d corrupt lines", corrupt)
 	}
 	rep := looptrace.Stitch(events)
 	var loop *looptrace.LoopTimeline
